@@ -15,7 +15,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "net/transport.h"
+#include "net/reactor.h"
+#include "net/tcp.h"
 #include "zltp/client.h"
 #include "zltp/server.h"
 #include "zltp/store.h"
@@ -83,8 +84,8 @@ void PrintReproductionTable() {
               pir::QueryUploadBytes(22));
 }
 
-// Analytic totals above; this section runs a real session over in-memory
-// transports and reads the bytes that actually crossed the wire from the
+// Analytic totals above; this section runs a real session over loopback
+// TCP against reactor-served servers and reads the bytes that actually crossed the wire from the
 // obs registry (lw_client_* counters mirror every session's accounting),
 // so framing, hellos and request ids are included.
 void PrintMeasuredTrafficSection() {
@@ -99,24 +100,43 @@ void PrintMeasuredTrafficSection() {
     (void)store.Publish(keys.back(), Bytes(64, 0x61));
   }
 
+  // Teardown order: Stop(), then the servers, then the reactor.
+  net::Reactor reactor;
   zltp::ZltpPirServer server0(store, 0);
   zltp::ZltpPirServer server1(store, 1);
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  server0.ServeConnectionDetached(std::move(p0.b));
-  server1.ServeConnectionDetached(std::move(p1.b));
+  auto listener0 = net::TcpListener::Listen(0);
+  auto listener1 = net::TcpListener::Listen(0);
+  if (!listener0.ok() || !listener1.ok()) {
+    std::printf("measured-traffic section skipped: cannot listen\n");
+    return;
+  }
+  const std::uint16_t port0 = listener0->bound_port();
+  const std::uint16_t port1 = listener1->bound_port();
+  if (!server0.ServeOnReactor(reactor, std::move(*listener0)).ok() ||
+      !server1.ServeOnReactor(reactor, std::move(*listener1)).ok() ||
+      !reactor.Start().ok()) {
+    std::printf("measured-traffic section skipped: cannot serve\n");
+    return;
+  }
+  auto t0 = net::TcpConnect("127.0.0.1", port0);
+  auto t1 = net::TcpConnect("127.0.0.1", port1);
+  if (!t0.ok() || !t1.ok()) {
+    std::printf("measured-traffic section skipped: cannot connect\n");
+    return;
+  }
 
   const obs::MetricsSnapshot before = obs::Registry::Default().Snapshot();
   auto session = zltp::PirSession::Establish(
-      zltp::EstablishOptions::FromTransports(std::move(p0.a),
-                                             std::move(p1.a)));
+      zltp::EstablishOptions::FromTransports(std::move(*t0), std::move(*t1)));
   if (!session.ok()) {
+    reactor.Stop();
     std::printf("measured-traffic section skipped: %s\n",
                 session.status().ToString().c_str());
     return;
   }
   auto batch = session->PrivateGetBatch(keys, /*extra_dummies=*/2);
   session->Close();
+  reactor.Stop();
   const obs::MetricsSnapshot after = obs::Registry::Default().Snapshot();
 
   auto counter_delta = [&](const std::string& name) -> std::uint64_t {

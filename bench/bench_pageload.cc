@@ -6,11 +6,12 @@
 // BlobChannel::FetchPage) ships all queries before reading responses, and
 // the server's per-connection concurrency lets them co-ride one batched
 // scan (§5.1). This bench quantifies that design choice end-to-end through
-// real ZLTP sessions over in-memory transports.
+// real ZLTP sessions over loopback TCP to reactor-served servers.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "net/transport.h"
+#include "net/reactor.h"
+#include "net/tcp.h"
 #include "util/check.h"
 #include "util/timer.h"
 #include "zltp/client.h"
@@ -24,8 +25,11 @@ constexpr int kFetchesPerPage = 5;
 
 struct Deployment {
   zltp::PirStore store;
+  net::Reactor reactor;  // declared before the servers: outlives them
   zltp::ZltpPirServer server0;
   zltp::ZltpPirServer server1;
+  std::uint16_t port0 = 0;
+  std::uint16_t port1 = 0;
   std::vector<std::string> titles;
 
   explicit Deployment(std::size_t pages)
@@ -45,24 +49,31 @@ struct Deployment {
         titles.push_back(title);
       }
     }
+    auto listener0 = net::TcpListener::Listen(0);
+    auto listener1 = net::TcpListener::Listen(0);
+    LW_CHECK(listener0.ok() && listener1.ok());
+    port0 = listener0->bound_port();
+    port1 = listener1->bound_port();
+    LW_CHECK(server0.ServeOnReactor(reactor, std::move(*listener0)).ok());
+    LW_CHECK(server1.ServeOnReactor(reactor, std::move(*listener1)).ok());
+    LW_CHECK(reactor.Start().ok());
   }
 
   zltp::PirSession Connect() {
-    net::TransportPair p0 = net::CreateInMemoryPair();
-    net::TransportPair p1 = net::CreateInMemoryPair();
-    server0.ServeConnectionDetached(std::move(p0.b));
-    server1.ServeConnectionDetached(std::move(p1.b));
+    auto t0 = net::TcpConnect("127.0.0.1", port0);
+    auto t1 = net::TcpConnect("127.0.0.1", port1);
+    LW_CHECK(t0.ok() && t1.ok());
     auto session = zltp::PirSession::Establish(
-        zltp::EstablishOptions::FromTransports(std::move(p0.a),
-                                               std::move(p1.a)));
+        zltp::EstablishOptions::FromTransports(std::move(*t0),
+                                               std::move(*t1)));
     LW_CHECK(session.ok());
     return std::move(*session);
   }
 };
 
 Deployment& SharedDeployment() {
-  // Leaky singleton: the deployment owns detached server threads, and
-  // tearing it down during static destruction races them at exit.
+  // Leaky singleton: the deployment owns a running reactor loop, and
+  // tearing it down during static destruction races that loop at exit.
   // lwlint: allow(naked-new)
   static Deployment* d = new Deployment(2000);
   return *d;

@@ -14,14 +14,13 @@
 // per scenario into BENCH_throughput.json so CI can track the trajectory
 // (tools/bench/compare_bench.py fails on >15% req/s regressions).
 //
-// Scenarios cover both serving models (docs/ARCHITECTURE.md): the blocking
-// thread-per-connection path and the epoll reactor, including a
-// high-connection reactor scenario (default 1024 concurrent connections,
-// --conns=N) that a thread-per-connection server could only match with a
-// thousand kernel threads. Two sharded front-end scenarios (frontend/*)
-// stand up the full §5.2 deployment — FrontEndServers over shard data
-// servers, all multiplexed on one reactor — and A/B one client against
-// many so CI can assert the shard fan-out pipelines instead of
+// Every scenario serves on the epoll reactor (docs/ARCHITECTURE.md),
+// including a high-connection scenario (default 1024 concurrent
+// connections, --conns=N) that a thread-per-connection server could only
+// match with a thousand kernel threads. Two sharded front-end scenarios
+// (frontend/*) stand up the full §5.2 deployment — FrontEndServers over
+// shard data servers, all multiplexed on one reactor — and A/B one client
+// against many so CI can assert the shard fan-out pipelines instead of
 // serializing.
 //
 // Flags: --smoke (CI-sized run), --threads=N (server scan/expand pool),
@@ -30,14 +29,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +40,7 @@
 #include <sys/resource.h>
 
 #include "bench_util.h"
+#include "net/faulty.h"
 #include "net/reactor.h"
 #include "net/tcp.h"
 #include "net/transport.h"
@@ -77,9 +73,6 @@ struct Scenario {
   std::string name;
   bool pipelined = true;
   std::chrono::milliseconds max_wait{2};
-  // true: one epoll reactor serves both logical servers. false: blocking
-  // thread-per-connection (the A/B baseline).
-  bool reactor = false;
   // Per-scenario overrides (0 = take the ThroughputParams value). The
   // high-connection scenario trades requests-per-client for client count
   // so total work stays bounded while concurrency scales.
@@ -92,8 +85,7 @@ struct Scenario {
 };
 
 const char* ServeName(const Scenario& s) {
-  if (s.frontend) return "frontend";
-  return s.reactor ? "reactor" : "threaded";
+  return s.frontend ? "frontend" : "reactor";
 }
 
 struct ScenarioResult {
@@ -116,17 +108,14 @@ double PercentileMs(std::vector<double>& sorted_ms, double q) {
   return sorted_ms[std::min(rank, sorted_ms.size() - 1)];
 }
 
-// Accepts connections until the listener closes, handing each to the
-// server's detached per-connection serving.
+// Serves `server` on `reactor` from a fresh ephemeral port.
 template <typename Server>
-std::thread AcceptLoop(net::TcpListener& listener, Server& server) {
-  return std::thread([&listener, &server] {
-    for (;;) {
-      auto transport = listener.Accept();
-      if (!transport.ok()) return;  // listener closed: scenario over
-      server.ServeConnectionDetached(std::move(*transport));
-    }
-  });
+std::uint16_t ServeOnEphemeralPort(Server& server, net::Reactor& reactor) {
+  auto listener = net::TcpListener::Listen(0);
+  LW_CHECK(listener.ok());
+  const std::uint16_t port = listener->bound_port();
+  LW_CHECK(server.ServeOnReactor(reactor, std::move(*listener)).ok());
+  return port;
 }
 
 // Closed-loop load shared by every scenario: `params.clients` threads each
@@ -253,37 +242,13 @@ ScenarioResult RunScenario(const zltp::PirStore& store,
   options.batch_config.pipelined = scenario.pipelined;
   options.num_threads = params.threads;
   // Declared before the servers: batch completion callbacks hold a reactor
-  // reference, and the server destructor joins those callbacks' threads.
+  // reference, so the servers must go first (after Stop()).
   net::Reactor reactor;
   zltp::ZltpPirServer server0(store, 0, options);
   zltp::ZltpPirServer server1(store, 1, options);
-
-  std::uint16_t port0 = 0;
-  std::uint16_t port1 = 0;
-  std::optional<net::TcpListener> tlistener0;
-  std::optional<net::TcpListener> tlistener1;
-  std::thread accept0;
-  std::thread accept1;
-  if (scenario.reactor) {
-    auto listener0 = net::TcpListener::Listen(0);
-    auto listener1 = net::TcpListener::Listen(0);
-    LW_CHECK(listener0.ok() && listener1.ok());
-    port0 = listener0->bound_port();
-    port1 = listener1->bound_port();
-    LW_CHECK(server0.ServeOnReactor(reactor, std::move(*listener0)).ok());
-    LW_CHECK(server1.ServeOnReactor(reactor, std::move(*listener1)).ok());
-    LW_CHECK(reactor.Start().ok());
-  } else {
-    auto listener0 = net::TcpListener::Listen(0);
-    auto listener1 = net::TcpListener::Listen(0);
-    LW_CHECK(listener0.ok() && listener1.ok());
-    port0 = listener0->bound_port();
-    port1 = listener1->bound_port();
-    tlistener0.emplace(std::move(*listener0));
-    tlistener1.emplace(std::move(*listener1));
-    accept0 = AcceptLoop(*tlistener0, server0);
-    accept1 = AcceptLoop(*tlistener1, server1);
-  }
+  const std::uint16_t port0 = ServeOnEphemeralPort(server0, reactor);
+  const std::uint16_t port1 = ServeOnEphemeralPort(server1, reactor);
+  LW_CHECK(reactor.Start().ok());
 
   // Warmup batches must not count against this scenario's stats, so the
   // snapshot happens at the start barrier.
@@ -292,15 +257,7 @@ ScenarioResult RunScenario(const zltp::PirStore& store,
       port0, port1, store.domain_bits(), params,
       [&] { stats_before = server0.batch_stats(); });
   const auto stats_after = server0.batch_stats();
-
-  if (scenario.reactor) {
-    reactor.Stop();
-  } else {
-    tlistener0->Close();
-    tlistener1->Close();
-    accept0.join();
-    accept1.join();
-  }
+  reactor.Stop();
 
   ScenarioResult result = FillResult(scenario, load);
   result.batches = stats_after.batches - stats_before.batches;
@@ -323,104 +280,16 @@ ScenarioResult RunScenario(const zltp::PirStore& store,
 // single-client row by a real margin.
 //
 // Harness shape: clients arrive over real TCP; each shard sits behind a
-// DelayRelay emulating a fixed shard round-trip time, the deployment
-// reality the fan-out exists for (remote shards, paper §5.2). The RTT
-// dominates every CPU cost in the path, so the A/B measures latency
-// HIDING, not thread parallelism: a single closed-loop client can never
-// beat 1/RTT req/s, and the multi-client row beats it if and only if
-// many GETs' shard waits overlap. That makes the ratio robust on any
-// machine — including single-core CI runners, where a compute-bound
-// version of this scenario would show no scaling for either fan-out.
-// (The reactor-link backend shares the same correlation engine; reply
-// equivalence between the two link backends is asserted by
-// tests/fanout_test.cc.)
-// Emulates the network between a front-end and one remote shard: frames
-// pass through unmodified, but every shard->front-end reply is delivered a
-// fixed `delay` after the shard produced it, and concurrent replies age in
-// parallel (a timer queue). net::DelayTransport cannot play this role — its
-// sleep runs inside Receive, so pipelined frames on one link would each pay
-// the delay back-to-back, which models a slow shard, not a distant one.
-class DelayRelay {
- public:
-  // `front` faces the fan-out's link, `back` faces the shard's serving.
-  DelayRelay(std::unique_ptr<net::Transport> front,
-             std::unique_ptr<net::Transport> back,
-             std::chrono::milliseconds delay)
-      : front_(std::move(front)), back_(std::move(back)), delay_(delay) {
-    forward_ = std::thread([this] {
-      for (;;) {
-        // Infinite on purpose: the relay lives exactly as long as the
-        // scenario and is torn down by closing both transports.
-        auto frame = front_->Receive(net::Deadline::Infinite());
-        if (!frame.ok() || !back_->Send(*frame).ok()) break;
-      }
-      back_->Close();
-    });
-    collect_ = std::thread([this] {
-      for (;;) {
-        auto frame = back_->Receive(net::Deadline::Infinite());
-        if (!frame.ok()) break;
-        std::lock_guard<std::mutex> lock(mu_);
-        due_.push_back(
-            {std::chrono::steady_clock::now() + delay_, std::move(*frame)});
-        cv_.notify_all();
-      }
-    });
-    deliver_ = std::thread([this] { DeliverLoop(); });
-  }
-
-  ~DelayRelay() {
-    front_->Close();
-    back_->Close();
-    forward_.join();
-    collect_.join();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    deliver_.join();
-  }
-
- private:
-  struct Timed {
-    std::chrono::steady_clock::time_point at;
-    net::Frame frame;
-  };
-
-  void DeliverLoop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (stopping_) return;
-      if (due_.empty()) {
-        cv_.wait(lock);
-        continue;
-      }
-      const auto at = due_.front().at;  // FIFO: equal delays, ordered dues
-      if (std::chrono::steady_clock::now() < at) {
-        cv_.wait_until(lock, at);
-        continue;
-      }
-      const net::Frame frame = std::move(due_.front().frame);
-      due_.pop_front();
-      lock.unlock();
-      (void)front_->Send(frame);
-      lock.lock();
-    }
-  }
-
-  std::unique_ptr<net::Transport> front_;
-  std::unique_ptr<net::Transport> back_;
-  const std::chrono::milliseconds delay_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Timed> due_;
-  bool stopping_ = false;
-  std::thread forward_;
-  std::thread collect_;
-  std::thread deliver_;
-};
-
+// net::FaultRelay that delivers its replies a fixed latency late, emulating
+// the shard round-trip time of the deployment the fan-out exists for
+// (remote shards, paper §5.2). Concurrent replies age in parallel, so the
+// relay models a distant shard, not a slow one. The RTT dominates every
+// CPU cost in the path, so the A/B measures latency HIDING, not thread
+// parallelism: a single closed-loop client can never beat 1/RTT req/s,
+// and the multi-client row beats it if and only if many GETs' shard waits
+// overlap. That makes the ratio robust on any machine — including
+// single-core CI runners, where a compute-bound version of this scenario
+// would show no scaling for either fan-out.
 ScenarioResult RunFrontendScenario(const ThroughputParams& base_params,
                                    const Scenario& scenario) {
   ThroughputParams params = base_params;
@@ -440,6 +309,9 @@ ScenarioResult RunFrontendScenario(const ThroughputParams& base_params,
   topology.top_bits = 2;  // 4 shard data servers per logical server
   topology.record_size = params.record_size;
 
+  // Declared before every server: teardown is Stop(), then the servers,
+  // then the reactor (zltp/server.h).
+  net::Reactor reactor;
   std::vector<std::unique_ptr<zltp::ShardDataServer>> shards[2];
   for (int replica = 0; replica < 2; ++replica) {
     for (std::size_t s = 0; s < topology.shard_count(); ++s) {
@@ -467,43 +339,37 @@ ScenarioResult RunFrontendScenario(const ThroughputParams& base_params,
   // old lock-step fan-out paid it shard_count times sequentially per GET
   // and admitted one GET at a time; the mux pays it once per GET and
   // overlaps GETs, which is the whole A/B.
-  const std::chrono::milliseconds shard_delay{5};
-  std::vector<std::unique_ptr<DelayRelay>> relays;
+  net::FaultRelay::Options distant;
+  distant.latency = std::chrono::milliseconds(5);
+  std::vector<std::unique_ptr<net::FaultRelay>> relays;
+  LW_CHECK(reactor.Start().ok());
   auto make_fanout = [&](int replica) {
-    std::vector<std::unique_ptr<net::Transport>> links;
+    std::vector<zltp::ShardFanout::ShardAddr> addrs;
     for (auto& shard : shards[replica]) {
-      net::TransportPair front_pair = net::CreateInMemoryPair();
-      net::TransportPair back_pair = net::CreateInMemoryPair();
-      shard->ServeConnectionDetached(std::move(back_pair.b));
-      relays.push_back(std::make_unique<DelayRelay>(
-          std::move(front_pair.b), std::move(back_pair.a), shard_delay));
-      links.push_back(std::move(front_pair.a));
+      auto relay = net::FaultRelay::Start(
+          "127.0.0.1", ServeOnEphemeralPort(*shard, reactor), distant);
+      LW_CHECK(relay.ok());
+      addrs.push_back({"127.0.0.1", (*relay)->port()});
+      relays.push_back(std::move(*relay));
     }
-    return zltp::ShardFanout(topology, std::move(links));
+    auto fanout =
+        zltp::ShardFanout::ConnectOnReactor(topology, reactor, addrs);
+    LW_CHECK(fanout.ok());
+    return std::move(*fanout);
   };
   const Bytes keyword_seed(16, 0x7e);
   zltp::FrontEndServer frontend0(0, keyword_seed, make_fanout(0));
   zltp::FrontEndServer frontend1(1, keyword_seed, make_fanout(1));
-  // Clients are served by per-connection threads whose GETs meet in the
-  // fan-out's blocking Answer — N concurrent Answers must pipeline through
-  // the mux, which is exactly what the single-vs-many A/B detects.
-  auto client_listener0 = net::TcpListener::Listen(0);
-  auto client_listener1 = net::TcpListener::Listen(0);
-  LW_CHECK(client_listener0.ok() && client_listener1.ok());
-  const std::uint16_t port0 = client_listener0->bound_port();
-  const std::uint16_t port1 = client_listener1->bound_port();
-  std::optional<net::TcpListener> serve0(std::move(*client_listener0));
-  std::optional<net::TcpListener> serve1(std::move(*client_listener1));
-  std::thread accept0 = AcceptLoop(*serve0, frontend0);
-  std::thread accept1 = AcceptLoop(*serve1, frontend1);
+  // Client GETs decode on the loop and go straight into the fan-out's
+  // AnswerAsync — N concurrent GETs must pipeline through the mux, which
+  // is exactly what the single-vs-many A/B detects.
+  const std::uint16_t port0 = ServeOnEphemeralPort(frontend0, reactor);
+  const std::uint16_t port1 = ServeOnEphemeralPort(frontend1, reactor);
 
   const LoadResult load = DriveClosedLoopClients(
       port0, port1, topology.domain_bits, params, nullptr);
 
-  serve0->Close();
-  serve1->Close();
-  accept0.join();
-  accept1.join();
+  reactor.Stop();
   return FillResult(scenario, load);
 }
 
@@ -604,15 +470,13 @@ int Main(int argc, char** argv) {
   // ≥2 batch-deadline settings, each in both scheduling modes: the deadline
   // sweep shows the latency/throughput trade the co-rider window buys, the
   // mode sweep shows what expand/scan overlap is worth at fixed deadline.
-  // Then the serving-model A/B at fixed batch settings, and the
-  // high-connection scenario only the reactor can realistically run.
+  // Then the high-connection scenario only an event-driven server can
+  // realistically run.
   std::vector<Scenario> scenarios = {
       {"pipelined/wait1ms", true, std::chrono::milliseconds(1)},
       {"serial/wait1ms", false, std::chrono::milliseconds(1)},
       {"pipelined/wait4ms", true, std::chrono::milliseconds(4)},
       {"serial/wait4ms", false, std::chrono::milliseconds(4)},
-      {"reactor/wait1ms", true, std::chrono::milliseconds(1), true},
-      {"reactor/wait4ms", true, std::chrono::milliseconds(4), true},
   };
   {
     // Each client holds one connection per logical server. Per-client
@@ -622,7 +486,6 @@ int Main(int argc, char** argv) {
     high.name = "reactor/conns" + std::to_string(params.high_conns);
     high.pipelined = true;
     high.max_wait = std::chrono::milliseconds(4);
-    high.reactor = true;
     high.clients_override = std::max(1, params.high_conns / 2);
     high.requests_override = flags.smoke ? 2 : 4;
     scenarios.push_back(high);

@@ -9,7 +9,8 @@
 // Build & run:  ./build/examples/enclave_mode
 #include <cstdio>
 
-#include "net/transport.h"
+#include "net/reactor.h"
+#include "net/tcp.h"
 #include "oram/enclave.h"
 #include "oram/storage.h"
 #include "zltp/client.h"
@@ -34,12 +35,22 @@ int main() {
   std::printf("enclave holds %zu keys; ORAM stash %zu blocks\n\n",
               enclave.key_count(), enclave.stash_size());
 
-  // Serve over ZLTP.
+  // Serve over ZLTP on an ephemeral loopback port.
+  net::Reactor reactor;  // declared before the server: outlives it
   zltp::ZltpEnclaveServer server(enclave);
-  net::TransportPair link = net::CreateInMemoryPair();
-  server.ServeConnectionDetached(std::move(link.b));
-  auto session = zltp::EnclaveSession::Establish(zltp::EstablishOptions::FromTransports(std::move(link.a)));
-  if (!session.ok()) return 1;
+  auto listener = net::TcpListener::Listen(0);
+  LW_CHECK(listener.ok());
+  const std::uint16_t port = listener->bound_port();
+  LW_CHECK(server.ServeOnReactor(reactor, std::move(*listener)).ok());
+  LW_CHECK(reactor.Start().ok());
+  auto link = net::TcpConnect("127.0.0.1", port);
+  LW_CHECK(link.ok());
+  auto session = zltp::EnclaveSession::Establish(
+      zltp::EstablishOptions::FromTransports(std::move(*link)));
+  if (!session.ok()) {
+    reactor.Stop();
+    return 1;
+  }
 
   for (const char* key : {"wiki/Uganda", "wiki/Nepal", "wiki/Atlantis"}) {
     traced.ClearTrace();
@@ -58,5 +69,6 @@ int main() {
   std::printf("\nhits, repeats, and misses produce identical trace shapes — "
               "the ORAM obliviousness guarantee.\n");
   session->Close();
+  reactor.Stop();  // teardown order: Stop(), then the server, the reactor
   return 0;
 }

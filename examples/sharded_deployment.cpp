@@ -5,12 +5,13 @@
 //
 // Each front-end expands the top of the client's DPF tree once and ships
 // sub-tree roots to its shards; every shard scans only its slice. The
-// client code is byte-identical to the single-server case.
+// client code is byte-identical to the single-server case. All ten servers
+// share one epoll reactor on ephemeral loopback ports.
 //
 // Build & run:  ./build/examples/sharded_deployment
 #include <cstdio>
-#include <thread>
 
+#include "net/reactor.h"
 #include "net/tcp.h"
 #include "pir/keyword.h"
 #include "pir/packing.h"
@@ -21,6 +22,15 @@
 namespace {
 
 using namespace lw;
+
+template <typename Server>
+std::uint16_t ServeOnEphemeralPort(Server& server, net::Reactor& reactor) {
+  auto listener = net::TcpListener::Listen(0);
+  LW_CHECK(listener.ok());
+  const std::uint16_t port = listener->bound_port();
+  LW_CHECK(server.ServeOnReactor(reactor, std::move(*listener)).ok());
+  return port;
+}
 
 struct Replica {
   zltp::ShardTopology topology;
@@ -46,20 +56,16 @@ struct Replica {
     return shards[shard]->Load(index, *record).ok();
   }
 
-  // Connects the front-end to every shard over real TCP sockets.
-  zltp::ShardFanout ConnectShardsOverTcp() {
-    std::vector<std::unique_ptr<net::Transport>> links;
+  // Serves every shard on `reactor` and connects a front-end fan-out to
+  // them over real TCP sockets.
+  zltp::ShardFanout ServeAndConnectShards(net::Reactor& reactor) {
+    std::vector<zltp::ShardFanout::ShardAddr> addrs;
     for (auto& shard : shards) {
-      auto listener = net::TcpListener::Listen(0);
-      std::thread acceptor([&] {
-        auto conn = listener->Accept();
-        shard->ServeConnectionDetached(std::move(*conn));
-      });
-      auto conn = net::TcpConnect("127.0.0.1", listener->bound_port());
-      acceptor.join();
-      links.push_back(std::move(*conn));
+      addrs.push_back({"127.0.0.1", ServeOnEphemeralPort(*shard, reactor)});
     }
-    return zltp::ShardFanout(topology, std::move(links));
+    auto fanout = zltp::ShardFanout::ConnectOnReactor(topology, reactor, addrs);
+    LW_CHECK(fanout.ok());
+    return std::move(*fanout);
   }
 };
 
@@ -71,6 +77,11 @@ int main() {
   topology.top_bits = 2;  // 4 data servers per logical server
   topology.record_size = 1024;
   const Bytes seed(16, 0x2a);
+
+  // One loop carries every server and every front-end->shard link.
+  // Declared first: teardown is Stop(), then the servers, then the reactor.
+  net::Reactor reactor;
+  LW_CHECK(reactor.Start().ok());
 
   // Two logical servers = two replicas in distinct trust domains.
   Replica replica0(topology, seed), replica1(topology, seed);
@@ -90,19 +101,20 @@ int main() {
                 replica0.shards[s]->record_count());
   }
 
-  zltp::FrontEndServer frontend0(0, seed, replica0.ConnectShardsOverTcp());
-  zltp::FrontEndServer frontend1(1, seed, replica1.ConnectShardsOverTcp());
-
-  net::TransportPair c0 = net::CreateInMemoryPair();
-  net::TransportPair c1 = net::CreateInMemoryPair();
-  frontend0.ServeConnectionDetached(std::move(c0.b));
-  frontend1.ServeConnectionDetached(std::move(c1.b));
-  auto session =
-      zltp::PirSession::Establish(
-          zltp::EstablishOptions::FromTransports(
-      std::move(c0.a), std::move(c1.a)));
+  zltp::FrontEndServer frontend0(0, seed,
+                                 replica0.ServeAndConnectShards(reactor));
+  zltp::FrontEndServer frontend1(1, seed,
+                                 replica1.ServeAndConnectShards(reactor));
+  auto c0 = net::TcpConnect("127.0.0.1",
+                            ServeOnEphemeralPort(frontend0, reactor));
+  auto c1 = net::TcpConnect("127.0.0.1",
+                            ServeOnEphemeralPort(frontend1, reactor));
+  LW_CHECK(c0.ok() && c1.ok());
+  auto session = zltp::PirSession::Establish(
+      zltp::EstablishOptions::FromTransports(std::move(*c0), std::move(*c1)));
   if (!session.ok()) {
     std::printf("session: %s\n", session.status().ToString().c_str());
+    reactor.Stop();
     return 1;
   }
 
@@ -121,5 +133,6 @@ int main() {
               "%.1f ms\n",
               fetched, topology.shard_count(), timer.ElapsedMillis());
   session->Close();
+  reactor.Stop();
   return 0;
 }

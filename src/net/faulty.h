@@ -10,6 +10,11 @@
 //   CorruptingTransport  — in-path tamperer flips a payload bit
 //   RecordingTransport   — captures sent frames for wire-level assertions
 //
+// Decorators wrap the caller's own end of a connection. FaultRelay puts
+// them on the far side instead: a loopback TCP relay in front of a real
+// server, so the server's production serving code (the reactor) meets a
+// dead, slow, flaky or distant peer without a test-only copy of it.
+//
 // DelayTransport is what makes deadline tests deterministic: it sleeps on
 // the *deadline's* clock, so with a FakeClock a "slow peer" consumes the
 // whole budget and returns DEADLINE_EXCEEDED in zero wall-clock time —
@@ -21,11 +26,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "net/tcp.h"
 #include "net/transport.h"
 
 namespace lw::net {
@@ -212,6 +223,75 @@ class RecordingTransport final : public Transport {
  private:
   std::unique_ptr<Transport> inner_;
   FrameLog* log_;
+};
+
+// A frame relay between dialers and one real server. It listens on an
+// ephemeral loopback port; each connection it accepts dials host:port and
+// pumps frames both ways on its own threads. The far leg (toward the
+// server) goes through `decorate`, so any decorator above — Dying, Flaky,
+// Delay — acts on the server's side of the conversation. When either leg
+// fails, both legs of that connection close, which the dialer sees as the
+// server dropping it.
+class FaultRelay {
+ public:
+  // Wraps the far leg of the relay's `conn_index`-th accepted connection
+  // (counted from 0, so a test can fault the first connection and let
+  // redials through clean).
+  using Decorator = std::function<std::unique_ptr<Transport>(
+      std::unique_ptr<Transport> far, int conn_index)>;
+
+  struct Options {
+    Decorator decorate;  // null: far legs pass through untouched
+    // Frames from the server reach the dialer this long after the relay
+    // read them, concurrent frames ageing in parallel: a distant server,
+    // not a slow one (DelayTransport on the far leg is the slow one).
+    std::chrono::nanoseconds latency{0};
+  };
+
+  // Listens on 127.0.0.1:0 and starts relaying to host:port.
+  static Result<std::unique_ptr<FaultRelay>> Start(std::string host,
+                                                   std::uint16_t port,
+                                                   Options options);
+
+  // Prefer Start(); takes an already-listening socket.
+  FaultRelay(TcpListener listener, std::string host, std::uint16_t port,
+             Options options);
+  ~FaultRelay();  // closes every connection and joins the relay threads
+
+  FaultRelay(const FaultRelay&) = delete;
+  FaultRelay& operator=(const FaultRelay&) = delete;
+
+  std::uint16_t port() const { return listener_.bound_port(); }
+
+ private:
+  struct Pipe {
+    std::shared_ptr<Transport> near;  // the dialer's connection
+    std::shared_ptr<Transport> far;   // toward host:port, decorated
+    std::thread up;                   // near -> far
+    std::thread down;                 // far -> delivery queue
+  };
+  struct Delivery {
+    std::chrono::nanoseconds due;
+    std::shared_ptr<Transport> near;
+    Frame frame;
+  };
+
+  void AcceptLoop();
+  void DeliverLoop();
+
+  TcpListener listener_;
+  const std::string target_host_;
+  const std::uint16_t target_port_;
+  const Options options_;
+  std::vector<std::unique_ptr<Pipe>> pipes_;  // accept thread only, then ~
+
+  std::mutex mu_;  // queue_, stopping_
+  std::condition_variable cv_;
+  std::deque<Delivery> queue_;  // FIFO: one latency, so dues ascend
+  bool stopping_ = false;
+
+  std::thread accept_;
+  std::thread deliver_;
 };
 
 }  // namespace lw::net

@@ -5,16 +5,17 @@
 // receive buffers, parses complete ZLTP frames out of them, and flushes
 // per-connection send queues as sockets become writable. Nothing on the
 // loop ever blocks in the kernel, so one thread multiplexes thousands of
-// connections — the thread-per-connection serve path keeps the kernel
-// scheduler in charge of who runs; the reactor hands that decision to the
-// batch scheduler's admission queue instead (docs/ARCHITECTURE.md).
+// connections, and the batch scheduler's admission queue — not the kernel
+// thread scheduler — decides what runs next (docs/ARCHITECTURE.md). It is
+// the only serving loop: every ZLTP endpoint serves through
+// ServeOnReactor, and the front-end's shard links are outbound Connect()s.
 //
 // Division of labor:
 //
 //   loop thread      accept, read, frame parsing, write flushing, timers.
 //                    Handler::on_frame runs here and MUST NOT block — it
 //                    decodes and hands off (e.g. BatchScheduler::SubmitAsync
-//                    or a ReactorDispatcher worker) and returns.
+//                    or a util/TaskQueue worker) and returns.
 //   any thread       Send() appends wire bytes to the connection's send
 //                    queue and wakes the loop via an eventfd; the loop owns
 //                    the actual write() calls, including partial-write
@@ -28,10 +29,6 @@
 // timeout (queued reply bytes making no progress) are checked against an
 // injectable lw::Clock each iteration, so FakeClock tests drive expiry
 // deterministically via Advance() + Wakeup() with zero real waiting.
-//
-// The blocking thread-per-connection path (tcp.h + ServeConnection loops)
-// stays compilable behind --serve-mode=threaded for A/B runs and
-// equivalence tests, mirroring the batch engine's --serial-batches knob.
 #pragma once
 
 #include <chrono>

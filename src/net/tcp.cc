@@ -68,8 +68,8 @@ Status SendAll(int fd, const std::uint8_t* data, std::size_t n,
   std::size_t done = 0;
   while (done < n) {
     LW_RETURN_IF_ERROR(WaitReady(fd, POLLOUT, deadline, "send"));
-    // Blocking by design: this is the threaded A/B serve path; the reactor
-    // path writes via per-connection send queues (net/reactor.cc).
+    // Blocking by design: TcpTransport is the client side's transport; the
+    // reactor writes via per-connection send queues (net/reactor.cc).
     // lwlint: allow(blocking-in-reactor)
     const ssize_t w = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
     if (w < 0) {
@@ -103,7 +103,7 @@ Status RecvAll(int fd, std::uint8_t* data, std::size_t n, bool eof_ok,
   std::size_t done = 0;
   while (done < n) {
     LW_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline, "receive"));
-    // Blocking by design: threaded A/B serve path (see SendAll).
+    // Blocking by design: client-side transport (see SendAll).
     // lwlint: allow(blocking-in-reactor)
     const ssize_t r = ::recv(fd, data + done, n - done, 0);
     if (r < 0) {
@@ -219,8 +219,8 @@ Result<std::unique_ptr<Transport>> TcpConnect(const std::string& host,
   }
   int rc;
   do {
-    // Blocking by design: the thread-per-connection A/B dial path; the
-    // reactor dials via TcpConnectStart + EPOLLOUT (net/reactor.cc).
+    // Blocking by design: the client-side dial; the reactor dials via
+    // TcpConnectStart + EPOLLOUT (net/reactor.cc).
     // lwlint: allow(blocking-in-reactor)
     rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
   } while (rc < 0 && errno == EINTR);
@@ -309,8 +309,8 @@ Result<std::unique_ptr<Transport>> TcpListener::Accept() {
   if (fd < 0) return UnavailableError("listener closed");
   int client;
   do {
-    // Blocking by design: the thread-per-connection A/B path accepts here;
-    // the reactor accepts non-blockingly via accept4 (net/reactor.cc).
+    // Blocking by design: FaultRelay and tests accept here; the reactor
+    // accepts non-blockingly via accept4 (net/reactor.cc).
     // lwlint: allow(blocking-in-reactor)
     client = ::accept(fd, nullptr, nullptr);
     if (client < 0 && errno == EINTR) obs::M().net_eintr_retries.Inc();

@@ -73,19 +73,11 @@ void BatchScheduler::SubmitAsync(dpf::DpfKey key, SubmitCallback done) {
   cv_.notify_all();
 }
 
-Result<Bytes> BatchScheduler::Submit(dpf::DpfKey key,
-                                     obs::StageTimings* stages) {
+Result<Bytes> BatchScheduler::Submit(dpf::DpfKey key) {
   std::promise<Result<Bytes>> done;
   std::future<Result<Bytes>> future = done.get_future();
-  // The callback writes *stages before fulfilling the promise; the
-  // promise/future handoff orders that write before this return.
   SubmitAsync(std::move(key),
-              [&done, stages](Result<Bytes> answer,
-                              const obs::StageTimings& timings) {
-                if (stages != nullptr) {
-                  stages->expand_ns = timings.expand_ns;
-                  stages->scan_ns = timings.scan_ns;
-                }
+              [&done](Result<Bytes> answer, const obs::StageTimings&) {
                 done.set_value(std::move(answer));
               });
   return future.get();

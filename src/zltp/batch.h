@@ -111,11 +111,9 @@ class BatchScheduler {
   // callback queues the reply frame (docs/ARCHITECTURE.md).
   void SubmitAsync(dpf::DpfKey key, SubmitCallback done);
 
-  // Blocking convenience over SubmitAsync (the thread-per-connection serve
-  // path): waits for the callback, returns the record share. When `stages`
-  // is non-null, the batch's expand/scan nanoseconds are written into it
-  // before this call returns.
-  Result<Bytes> Submit(dpf::DpfKey key, obs::StageTimings* stages = nullptr);
+  // Blocking convenience over SubmitAsync for direct callers: waits for
+  // the callback and returns the record share.
+  Result<Bytes> Submit(dpf::DpfKey key);
 
   // Drains queued and in-flight batches, then joins both workers
   // (idempotent; dtor calls it). Every callback outstanding at the time of

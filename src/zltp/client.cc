@@ -143,15 +143,6 @@ Result<PirSession> PirSession::Establish(EstablishOptions options) {
   }
 }
 
-Result<PirSession> PirSession::Establish(
-    std::unique_ptr<net::Transport> server0,
-    std::unique_ptr<net::Transport> server1) {
-  EstablishOptions options;
-  options.transport0 = std::move(server0);
-  options.transport1 = std::move(server1);
-  return Establish(std::move(options));
-}
-
 net::Deadline PirSession::OpDeadline() const {
   return MakeDeadline(op_timeout_, clock_);
 }
@@ -538,13 +529,6 @@ Result<EnclaveSession> EnclaveSession::Establish(EstablishOptions options) {
     session.traffic_.retries += 1;
     obs::M().client_retries.Inc();
   }
-}
-
-Result<EnclaveSession> EnclaveSession::Establish(
-    std::unique_ptr<net::Transport> server) {
-  EstablishOptions options;
-  options.transport0 = std::move(server);
-  return Establish(std::move(options));
 }
 
 net::Deadline EnclaveSession::OpDeadline() const {

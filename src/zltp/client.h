@@ -131,11 +131,6 @@ class PirSession final : public Session {
   // trust domain would void the non-collusion assumption).
   static Result<PirSession> Establish(EstablishOptions options);
 
-  // Deprecated: positional form kept for transition; equivalent to options
-  // with only the two transports set (no deadlines, no retries, no redial).
-  static Result<PirSession> Establish(std::unique_ptr<net::Transport> server0,
-                                      std::unique_ptr<net::Transport> server1);
-
   PirSession(PirSession&&) = default;
   PirSession& operator=(PirSession&&) = default;
 
@@ -223,10 +218,6 @@ class EnclaveSession final : public Session {
   // Single-server: uses the transport0/factory0 slots; setting the *1
   // slots is an error.
   static Result<EnclaveSession> Establish(EstablishOptions options);
-
-  // Deprecated: positional form kept for transition.
-  static Result<EnclaveSession> Establish(
-      std::unique_ptr<net::Transport> server);
 
   EnclaveSession(EnclaveSession&&) = default;
   EnclaveSession& operator=(EnclaveSession&&) = default;

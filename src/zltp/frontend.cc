@@ -3,37 +3,18 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <optional>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "zltp/serving.h"
 
 namespace lw::zltp {
-namespace {
-
-void SendErrorFrame(net::Transport& t, StatusCode code,
-                    const std::string& msg) {
-  ErrorMsg e;
-  e.code = code;
-  e.message = msg;
-  (void)t.Send(Encode(e));
-}
-
-// Reactor-mode twin of SendErrorFrame (see server.cc for the discipline).
-void SendErrorFrameTo(net::Reactor& reactor, net::Reactor::ConnId id,
-                      StatusCode code, const std::string& msg) {
-  ErrorMsg e;
-  e.code = code;
-  e.message = msg;
-  (void)reactor.Send(id, Encode(e));
-}
-
-}  // namespace
 
 // ---------------------------------------------------------- data shard
 
@@ -45,24 +26,6 @@ ShardDataServer::ShardDataServer(const ShardTopology& topology,
                              : std::make_unique<ThreadPool>(num_threads)),
       db_(topology.shard_domain_bits(), topology.record_size) {
   LW_CHECK_MSG(shard_index < topology.shard_count(), "shard index range");
-}
-
-ShardDataServer::~ShardDataServer() {
-  // Snapshot-then-join (see ZltpPirServer::~ZltpPirServer): handlers may
-  // still be enqueueing via ServeConnectionDetached, so the lock covers
-  // only the state swap.
-  std::vector<std::thread> threads;
-  std::vector<std::unique_ptr<net::Transport>> transports;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    stopping_ = true;
-    threads.swap(threads_);
-    transports.swap(owned_transports_);
-  }
-  for (auto& t : transports) t->Close();
-  for (auto& th : threads) {
-    if (th.joinable()) th.join();
-  }
 }
 
 std::size_t ShardDataServer::record_count() const {
@@ -94,55 +57,8 @@ Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
   return out;
 }
 
-void ShardDataServer::ServeConnection(net::Transport& transport) {
-  for (;;) {
-    auto frame = transport.Receive(net::Deadline::Infinite());
-    if (!frame.ok()) return;
-    if (frame->type == static_cast<std::uint8_t>(MsgType::kBye)) return;
-    auto request = DecodeGetRequest(*frame);
-    if (!request.ok()) {
-      SendErrorFrame(transport, StatusCode::kProtocolError,
-                     request.status().message());
-      return;
-    }
-    auto key = dpf::SubtreeKey::Deserialize(request->body);
-    if (!key.ok()) {
-      SendErrorFrame(transport, StatusCode::kProtocolError,
-                     "malformed sub-tree key: " + key.status().message());
-      return;
-    }
-    auto answer = Answer(*key);
-    if (!answer.ok()) {
-      SendErrorFrame(transport, answer.status().code(),
-                     answer.status().message());
-      continue;
-    }
-    obs::M().shard_requests.Inc();
-    GetResponse response;
-    response.request_id = request->request_id;
-    response.body = std::move(*answer);
-    if (!transport.Send(Encode(response)).ok()) return;
-  }
-}
-
-void ShardDataServer::ServeConnectionDetached(
-    std::unique_ptr<net::Transport> transport) {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  if (stopping_) {
-    transport->Close();
-    return;
-  }
-  net::Transport* raw = transport.get();
-  owned_transports_.push_back(std::move(transport));
-  threads_.emplace_back([this, raw] { ServeConnection(*raw); });
-}
-
 Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
                                        net::TcpListener listener) {
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    if (dispatch_ == nullptr) dispatch_ = std::make_unique<TaskQueue>(1);
-  }
   net::Reactor::Handler handler;
   // Shard links are CDN-internal: bare GetRequest frames, no hello.
   handler.on_frame = [this, &reactor](net::Reactor::ConnId id,
@@ -166,7 +82,7 @@ Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
       return;
     }
     // The sub-tree expansion + XOR scan is the shard's heavy compute.
-    dispatch_->Post([this, &reactor, id, request_id = request->request_id,
+    dispatch_.Post([this, &reactor, id, request_id = request->request_id,
                      k = std::move(*key)] {
       auto answer = Answer(k);
       if (!answer.ok()) {
@@ -195,13 +111,12 @@ Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
 //                             never attributed to another op.
 //   wrong record size         the reply correlated, so only that op fails;
 //                             the link's framing is intact and stays up.
-//   send failure on shard k   that op fails immediately; replies already
-//                             owed by shards 0..k-1 are stale-dropped by
-//                             id, so the next request is not poisoned.
-//   transport error / shard   the stream is desynced (error frames carry
-//   error frame               no request id): every op awaiting the link
-//                             fails, the link closes and — with a redial
-//                             factory — a fresh connection is dialed.
+//   connection loss / shard   the stream is gone or desynced (error frames
+//   error frame / failed      carry no request id): the link is marked
+//   send                      down, then every op awaiting it fails;
+//                             replies other shards owe those ops are
+//                             stale-dropped by id, and the next op
+//                             redials.
 //   per-op deadline           the expiry sweeper fails the op with
 //                             DEADLINE_EXCEEDED; a reply that limps in
 //                             later is a stale drop.
@@ -220,13 +135,175 @@ class ShardFanout::Mux {
     std::chrono::nanoseconds start{};
   };
 
-  // One shard link. Enqueue never blocks the caller; failures are routed
-  // back through FailOp/OnLinkDown.
+  // One shard link: the outbound connection lives on the reactor loop
+  // (net::Reactor::Connect), sends are queue pushes, and replies arrive as
+  // on_frame callbacks — no per-link threads at all. Enqueue never blocks
+  // the caller; failures are routed back through FailOp/OnLinkDown. A
+  // link-level failure closes the connection; the next op re-dials on
+  // demand (no reconnect storm against a down shard: at most one dial per
+  // op).
   class Link {
    public:
-    virtual ~Link() = default;
-    virtual void Enqueue(std::uint32_t op_id, net::Frame frame) = 0;
-    virtual void Shutdown() = 0;
+    Link(Mux* mux, std::size_t index, net::Reactor& reactor, std::string host,
+         std::uint16_t port)
+        : mux_(mux),
+          index_(index),
+          reactor_(reactor),
+          host_(std::move(host)),
+          port_(port) {}
+
+    ~Link() { Shutdown(); }
+
+    Status Dial() {
+      net::Reactor::Handler handler;
+      handler.on_frame = [this](net::Reactor::ConnId id, net::Frame frame) {
+        const Status s = mux_->OnReply(index_, std::move(frame));
+        if (!s.ok()) {
+          // Desynced stream (uncorrelatable shard error frame): fail the
+          // ops awaiting us and drop the connection; the next op re-dials.
+          Forget(id);
+          mux_->OnLinkDown(index_, s);
+          reactor_.Close(id);
+        }
+      };
+      handler.on_close = [this](net::Reactor::ConnId id, const Status& why) {
+        // Forget() false: Shutdown or the on_frame error path already
+        // disowned this conn, or the dial lost so quickly that Dial() has
+        // not stored the id yet (recorded so Dial does not adopt a corpse).
+        if (Forget(id)) {
+          mux_->OnLinkDown(
+              index_, why.ok() ? UnavailableError("shard link closed") : why);
+        }
+        std::lock_guard<std::mutex> lock(mu_);
+        early_closed_.push_back(id);
+        --pending_closes_;
+        closed_cv_.notify_all();
+      };
+      {
+        // Count the close before Connect: on_close may fire (loop thread)
+        // before Connect even returns here. Stale early-close records from
+        // prior dials are irrelevant to the fresh id about to be minted.
+        std::lock_guard<std::mutex> lock(mu_);
+        ++pending_closes_;
+        early_closed_.clear();
+      }
+      auto id = reactor_.Connect(host_, port_, std::move(handler));
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!id.ok()) {
+        --pending_closes_;  // never registered; no on_close will come
+        return id.status();
+      }
+      if (std::find(early_closed_.begin(), early_closed_.end(), *id) !=
+          early_closed_.end()) {
+        // Refused before we got to store the id: the link stays down and the
+        // next op re-dials.
+        early_closed_.clear();
+        return UnavailableError("shard connection closed during dial");
+      }
+      conn_ = *id;
+      return Status::Ok();
+    }
+
+    void Enqueue(std::uint32_t op_id, const net::Frame& frame) {
+      net::Reactor::ConnId conn = 0;
+      {
+        // dial_mu_ serializes redials: two concurrent ops hitting a downed
+        // link get one fresh connection, not one each. Never taken by the
+        // loop-thread callbacks, so it cannot deadlock against them.
+        std::lock_guard<std::mutex> dial_lock(dial_mu_);
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          if (stopping_) {
+            conn = 0;
+          } else {
+            conn = conn_;
+          }
+        }
+        if (conn == 0) {
+          if (stopped()) {
+            mux_->FailOp(op_id, index_,
+                         UnavailableError("shard link shut down"));
+            return;
+          }
+          // Redial on demand: at most one dial per op against a down shard,
+          // so a dead peer costs each request one failed connect, never a
+          // reconnect storm.
+          const Status dialed = Dial();
+          if (!dialed.ok()) {
+            mux_->FailOp(op_id, index_, dialed);
+            return;
+          }
+          obs::M().fanout_redials.Inc();
+          std::lock_guard<std::mutex> lock(mu_);
+          conn = conn_;
+        }
+      }
+      const Status sent = reactor_.Send(conn, frame);
+      if (sent.ok()) return;
+      // The connection is dead (closed, or shed for an over-full send
+      // queue). Mark the link down BEFORE failing anything: a caller woken
+      // by the failure may issue its next op at once, and that op must
+      // redial rather than queue onto the dead connection. If the link was
+      // already forgotten (on_close, or another op got here first), only
+      // this op is left to fail.
+      if (Forget(conn)) {
+        mux_->OnLinkDown(index_, sent);
+      } else {
+        mux_->FailOp(op_id, index_, sent);
+      }
+    }
+
+    void Shutdown() {
+      net::Reactor::ConnId conn = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (stopping_) return;
+        stopping_ = true;
+        conn = conn_;
+        conn_ = 0;
+      }
+      // Safe even after reactor.Stop(): a stale id is a no-op (reactor.h).
+      if (conn != 0) reactor_.Close(conn);
+      // Wait for every dialed connection's on_close to be delivered (the
+      // documented teardown order guarantees it comes: either the reactor
+      // was already stopped, which drained all conns, or it is running and
+      // the Close above reaches the loop). After this, no loop callback can
+      // touch this link or the mux again — destruction is safe.
+      std::unique_lock<std::mutex> lock(mu_);
+      closed_cv_.wait(lock, [this] { return pending_closes_ == 0; });
+    }
+
+   private:
+    bool stopped() {
+      std::lock_guard<std::mutex> lock(mu_);
+      return stopping_;
+    }
+
+    // Clears conn_ if it still names `id`; false means this close was
+    // already handled (Shutdown or a newer dial took over), or the id was
+    // never stored (the dial lost instantly).
+    bool Forget(net::Reactor::ConnId id) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (conn_ != id) return false;
+      conn_ = 0;
+      return true;
+    }
+
+    Mux* mux_;
+    const std::size_t index_;
+    net::Reactor& reactor_;
+    const std::string host_;
+    const std::uint16_t port_;
+
+    std::mutex dial_mu_;  // held across Dial(); taken before mu_
+    std::mutex mu_;
+    net::Reactor::ConnId conn_ = 0;
+    // Dials whose on_close has not yet been delivered; Shutdown waits for 0.
+    int pending_closes_ = 0;
+    std::condition_variable closed_cv_;
+    // Conn ids whose on_close beat Dial()'s store of the id (instant refuse).
+    std::vector<net::Reactor::ConnId> early_closed_;
+    bool stopping_ = false;
   };
 
   Mux(const ShardTopology& topology, FanoutOptions options)
@@ -237,8 +314,6 @@ class ShardFanout::Mux {
   ~Mux() { Shutdown(); }
 
   const ShardTopology& topology() const { return topology_; }
-  Clock* clock() const { return clock_; }
-  const FanoutOptions& options() const { return options_; }
 
   // Called once per shard, in shard order, before Seal().
   void AddLink(std::unique_ptr<Link> link) {
@@ -351,8 +426,9 @@ class ShardFanout::Mux {
     return Status::Ok();
   }
 
-  // A send for `op_id` failed on `link`: the op cannot complete. Replies
-  // other shards already owe it become stale drops.
+  // `op_id` never reached `link` (failed dial, shut-down link, or a send
+  // on a connection the link had already dropped): the op cannot complete.
+  // Replies other shards already owe it become stale drops.
   void FailOp(std::uint32_t op_id, std::size_t link, const Status& why) {
     std::optional<Op> op;
     {
@@ -387,11 +463,6 @@ class ShardFanout::Mux {
     }
   }
 
-  net::TransportFactory redial_factory(std::size_t link) const {
-    if (link < options_.redial.size()) return options_.redial[link];
-    return nullptr;
-  }
-
   // Stops the sweeper and every link, then completes whatever is left.
   // Idempotent; called by ~Mux and usable for explicit teardown.
   void Shutdown() {
@@ -421,8 +492,8 @@ class ShardFanout::Mux {
   }
 
   // Per-op deadlines are enforced here, against the pending table, not by
-  // per-receive timeouts: the link readers stay blocked demultiplexing
-  // while an expired op fails fast with DEADLINE_EXCEEDED. Under a
+  // per-receive timeouts: the links keep demultiplexing while an expired
+  // op fails fast with DEADLINE_EXCEEDED. Under a
   // FakeClock the cv wait uses short real slices (the net/inmem.cc
   // discipline) so tests advance virtual time and see prompt expiry.
   void ExpiryLoop() {
@@ -482,340 +553,7 @@ class ShardFanout::Mux {
   std::thread expiry_;
 };
 
-namespace {
-
-// Threaded shard link over a net::Transport: a writer thread drains an
-// outbox (so AnswerAsync never blocks on a slow send) and a reader thread
-// demultiplexes replies into the correlation table. Composes with the
-// net/faulty.h decorators and the in-memory pair; a redial factory makes
-// the link self-healing after a failure.
-class TransportLink final : public ShardFanout::Mux::Link {
- public:
-  TransportLink(ShardFanout::Mux* mux, std::size_t index,
-                std::unique_ptr<net::Transport> transport,
-                net::TransportFactory redial)
-      : mux_(mux),
-        index_(index),
-        redial_(std::move(redial)),
-        transport_(std::move(transport)) {
-    reader_ = std::thread([this] { ReaderLoop(); });
-    writer_ = std::thread([this] { WriterLoop(); });
-  }
-
-  ~TransportLink() override { Shutdown(); }
-
-  void Enqueue(std::uint32_t op_id, net::Frame frame) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // A null transport with a redial factory means a fresh dial may be
-      // mid-flight: queue, and the writer picks the frame up once the new
-      // stream is installed (the op deadline bounds the wait either way).
-      if (!stopping_ && (transport_ != nullptr || redial_)) {
-        outbox_.push_back({op_id, std::move(frame)});
-        cv_.notify_all();
-        return;
-      }
-    }
-    // Link permanently down (dead with no redial factory, or shut down):
-    // fail fast rather than queueing against a shard that cannot answer.
-    mux_->FailOp(op_id, index_,
-                 UnavailableError(stopped() ? "shard link shut down"
-                                            : "shard link down"));
-  }
-
-  void Shutdown() override {
-    std::shared_ptr<net::Transport> t;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      stopping_ = true;
-      t = transport_;
-    }
-    cv_.notify_all();
-    if (t != nullptr) t->Close();  // unblocks the reader's Receive
-    if (writer_.joinable()) writer_.join();
-    if (reader_.joinable()) reader_.join();
-  }
-
- private:
-  bool stopped() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stopping_;
-  }
-
-  void ReaderLoop() {
-    for (;;) {
-      std::shared_ptr<net::Transport> t;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock,
-                 [this] { return stopping_ || transport_ != nullptr; });
-        if (stopping_) return;
-        t = transport_;
-      }
-      // Demultiplexer receive: per-op deadlines are enforced by the mux's
-      // expiry sweeper against the pending table, so this wait is
-      // intentionally unbounded — a dead shard fails its ops fast via the
-      // sweeper, and a reply that arrives after that is dropped by id,
-      // never misattributed. Shutdown/Reset close the transport to
-      // unblock this thread.
-      auto frame = t->Receive(net::Deadline::Infinite());
-      if (!frame.ok()) {
-        Reset(t, frame.status());
-        continue;
-      }
-      const Status s = mux_->OnReply(index_, *frame);
-      if (!s.ok()) Reset(t, s);
-    }
-  }
-
-  void WriterLoop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      // Waits out a redial too: frames stay queued until a transport
-      // exists to carry them.
-      cv_.wait(lock, [this] {
-        return stopping_ || (!outbox_.empty() && transport_ != nullptr);
-      });
-      if (stopping_) return;
-      auto [op_id, frame] = std::move(outbox_.front());
-      outbox_.pop_front();
-      std::shared_ptr<net::Transport> t = transport_;
-      lock.unlock();
-      // The op deadline (sweeper) bounds the caller; a send wedged past
-      // it keeps only this writer busy, and Shutdown's Close unblocks it.
-      const Status s = t->Send(frame, net::Deadline::Infinite());
-      if (!s.ok()) {
-        // The op cannot complete (this shard never saw its sub-query) —
-        // fail it directly rather than relying on Reset's OnLinkDown,
-        // which no-ops if another thread already swapped the transport.
-        // Replies other shards already owe the op become stale drops.
-        mux_->FailOp(op_id, index_, s);
-        // A failed send may leave the stream mid-frame: reset the link.
-        Reset(t, s);
-      }
-      lock.lock();
-    }
-  }
-
-  // Drops `failed` (if still current), fails every op awaiting this link,
-  // and — with a factory — dials a replacement. Reader and writer both
-  // funnel here; whichever loses the race becomes a no-op.
-  void Reset(const std::shared_ptr<net::Transport>& failed,
-             const Status& why) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_ || transport_ != failed) return;
-      transport_.reset();
-      // Queued frames belong to ops the OnLinkDown below is about to fail;
-      // sending them on a fresh stream would only produce stale replies.
-      outbox_.clear();
-    }
-    failed->Close();
-    mux_->OnLinkDown(index_, why);
-    if (!redial_) return;
-    auto fresh = redial_();
-    if (!fresh.ok()) return;  // stays down; ops fail fast in Enqueue
-    obs::M().fanout_redials.Inc();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      (*fresh)->Close();
-      return;
-    }
-    transport_ = std::move(*fresh);
-    cv_.notify_all();  // wake the reader onto the new stream
-  }
-
-  ShardFanout::Mux* mux_;
-  const std::size_t index_;
-  const net::TransportFactory redial_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  // shared_ptr: reader and writer use the transport outside the lock while
-  // Reset swaps it; the failed instance stays alive until both let go.
-  std::shared_ptr<net::Transport> transport_;
-  std::deque<std::pair<std::uint32_t, net::Frame>> outbox_;
-  bool stopping_ = false;
-
-  std::thread reader_;
-  std::thread writer_;
-};
-
-// Reactor-backed shard link: the outbound connection lives on the reactor
-// loop (net::Reactor::Connect), sends are queue pushes, and replies arrive
-// as on_frame callbacks — no per-link threads at all. A link-level failure
-// closes the connection; the next op re-dials on demand (no reconnect
-// storm against a down shard: at most one dial per op).
-class ReactorLink final : public ShardFanout::Mux::Link {
- public:
-  ReactorLink(ShardFanout::Mux* mux, std::size_t index,
-              net::Reactor& reactor, std::string host, std::uint16_t port)
-      : mux_(mux),
-        index_(index),
-        reactor_(reactor),
-        host_(std::move(host)),
-        port_(port) {}
-
-  ~ReactorLink() override { Shutdown(); }
-
-  Status Dial() {
-    net::Reactor::Handler handler;
-    handler.on_frame = [this](net::Reactor::ConnId id, net::Frame frame) {
-      const Status s = mux_->OnReply(index_, std::move(frame));
-      if (!s.ok()) {
-        // Desynced stream (uncorrelatable shard error frame): fail the
-        // ops awaiting us and drop the connection; the next op re-dials.
-        Forget(id);
-        mux_->OnLinkDown(index_, s);
-        reactor_.Close(id);
-      }
-    };
-    handler.on_close = [this](net::Reactor::ConnId id, const Status& why) {
-      // Forget() false: Shutdown or the on_frame error path already
-      // disowned this conn, or the dial lost so quickly that Dial() has
-      // not stored the id yet (recorded so Dial does not adopt a corpse).
-      if (Forget(id)) {
-        mux_->OnLinkDown(
-            index_, why.ok() ? UnavailableError("shard link closed") : why);
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      early_closed_.push_back(id);
-      --pending_closes_;
-      closed_cv_.notify_all();
-    };
-    {
-      // Count the close before Connect: on_close may fire (loop thread)
-      // before Connect even returns here. Stale early-close records from
-      // prior dials are irrelevant to the fresh id about to be minted.
-      std::lock_guard<std::mutex> lock(mu_);
-      ++pending_closes_;
-      early_closed_.clear();
-    }
-    auto id = reactor_.Connect(host_, port_, std::move(handler));
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!id.ok()) {
-      --pending_closes_;  // never registered; no on_close will come
-      return id.status();
-    }
-    if (std::find(early_closed_.begin(), early_closed_.end(), *id) !=
-        early_closed_.end()) {
-      // Refused before we got to store the id: the link stays down and the
-      // next op re-dials.
-      early_closed_.clear();
-      return UnavailableError("shard connection closed during dial");
-    }
-    conn_ = *id;
-    return Status::Ok();
-  }
-
-  void Enqueue(std::uint32_t op_id, net::Frame frame) override {
-    net::Reactor::ConnId conn = 0;
-    {
-      // dial_mu_ serializes redials: two concurrent ops hitting a downed
-      // link get one fresh connection, not one each. Never taken by the
-      // loop-thread callbacks, so it cannot deadlock against them.
-      std::lock_guard<std::mutex> dial_lock(dial_mu_);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_) {
-          conn = 0;
-        } else {
-          conn = conn_;
-        }
-      }
-      if (conn == 0) {
-        if (stopped()) {
-          mux_->FailOp(op_id, index_,
-                       UnavailableError("shard link shut down"));
-          return;
-        }
-        // Redial on demand: at most one dial per op against a down shard,
-        // so a dead peer costs each request one failed connect, never a
-        // reconnect storm.
-        const Status dialed = Dial();
-        if (!dialed.ok()) {
-          mux_->FailOp(op_id, index_, dialed);
-          return;
-        }
-        obs::M().fanout_redials.Inc();
-        std::lock_guard<std::mutex> lock(mu_);
-        conn = conn_;
-      }
-    }
-    const Status sent = reactor_.Send(conn, frame);
-    if (!sent.ok()) mux_->FailOp(op_id, index_, sent);
-  }
-
-  void Shutdown() override {
-    net::Reactor::ConnId conn = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      stopping_ = true;
-      conn = conn_;
-      conn_ = 0;
-    }
-    // Safe even after reactor.Stop(): a stale id is a no-op (reactor.h).
-    if (conn != 0) reactor_.Close(conn);
-    // Wait for every dialed connection's on_close to be delivered (the
-    // documented teardown order guarantees it comes: either the reactor
-    // was already stopped, which drained all conns, or it is running and
-    // the Close above reaches the loop). After this, no loop callback can
-    // touch this link or the mux again — destruction is safe.
-    std::unique_lock<std::mutex> lock(mu_);
-    closed_cv_.wait(lock, [this] { return pending_closes_ == 0; });
-  }
-
- private:
-  bool stopped() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stopping_;
-  }
-
-  // Clears conn_ if it still names `id`; false means this close was
-  // already handled (Shutdown or a newer dial took over), or the id was
-  // never stored (the dial lost instantly).
-  bool Forget(net::Reactor::ConnId id) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (conn_ != id) return false;
-    conn_ = 0;
-    return true;
-  }
-
-  ShardFanout::Mux* mux_;
-  const std::size_t index_;
-  net::Reactor& reactor_;
-  const std::string host_;
-  const std::uint16_t port_;
-
-  std::mutex dial_mu_;  // held across Dial(); taken before mu_
-  std::mutex mu_;
-  net::Reactor::ConnId conn_ = 0;
-  // Dials whose on_close has not yet been delivered; Shutdown waits for 0.
-  int pending_closes_ = 0;
-  std::condition_variable closed_cv_;
-  // Conn ids whose on_close beat Dial()'s store of the id (instant refuse).
-  std::vector<net::Reactor::ConnId> early_closed_;
-  bool stopping_ = false;
-};
-
-}  // namespace
-
 ShardFanout::ShardFanout(std::unique_ptr<Mux> mux) : mux_(std::move(mux)) {}
-
-ShardFanout::ShardFanout(const ShardTopology& topology,
-                         std::vector<std::unique_ptr<net::Transport>> links,
-                         FanoutOptions options)
-    : mux_(std::make_unique<Mux>(topology, std::move(options))) {
-  LW_CHECK_MSG(links.size() == topology.shard_count(),
-               "need one transport per shard");
-  for (std::size_t s = 0; s < links.size(); ++s) {
-    mux_->AddLink(std::make_unique<TransportLink>(
-        mux_.get(), s, std::move(links[s]), mux_->redial_factory(s)));
-  }
-  mux_->Seal();
-}
 
 Result<ShardFanout> ShardFanout::ConnectOnReactor(
     const ShardTopology& topology, net::Reactor& reactor,
@@ -825,7 +563,7 @@ Result<ShardFanout> ShardFanout::ConnectOnReactor(
   }
   auto mux = std::make_unique<Mux>(topology, std::move(options));
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    auto link = std::make_unique<ReactorLink>(
+    auto link = std::make_unique<Mux::Link>(
         mux.get(), s, reactor, std::move(shards[s].host), shards[s].port);
     LW_RETURN_IF_ERROR(link->Dial());
     mux->AddLink(std::move(link));
@@ -873,107 +611,6 @@ FrontEndServer::FrontEndServer(std::uint8_t role, Bytes keyword_seed,
   LW_CHECK_MSG(role <= 1, "front-end role must be 0 or 1");
 }
 
-FrontEndServer::~FrontEndServer() {
-  // Snapshot-then-join (see ZltpPirServer::~ZltpPirServer).
-  std::vector<std::thread> threads;
-  std::vector<std::unique_ptr<net::Transport>> transports;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    stopping_ = true;
-    threads.swap(threads_);
-    transports.swap(owned_transports_);
-  }
-  for (auto& t : transports) t->Close();
-  for (auto& th : threads) {
-    if (th.joinable()) th.join();
-  }
-}
-
-void FrontEndServer::ServeConnection(net::Transport& transport) {
-  // Standard ZLTP hello.
-  auto frame = transport.Receive(net::Deadline::Infinite());
-  if (!frame.ok()) return;
-  auto hello = DecodeClientHello(*frame);
-  if (!hello.ok()) {
-    SendErrorFrame(transport, StatusCode::kProtocolError,
-                   hello.status().message());
-    return;
-  }
-  bool supports_pir = false;
-  for (Mode m : hello->supported_modes) {
-    supports_pir |= (m == Mode::kTwoServerPir);
-  }
-  if (hello->version != kProtocolVersion || !supports_pir) {
-    SendErrorFrame(transport, StatusCode::kFailedPrecondition,
-                   "front-end requires two-server-pir mode");
-    return;
-  }
-  ServerHello server_hello;
-  server_hello.mode = Mode::kTwoServerPir;
-  server_hello.server_role = role_;
-  server_hello.domain_bits =
-      static_cast<std::uint8_t>(fanout_.topology().domain_bits);
-  server_hello.record_size =
-      static_cast<std::uint32_t>(fanout_.topology().record_size);
-  server_hello.keyword_seed = keyword_seed_;
-  if (!transport.Send(Encode(server_hello)).ok()) return;
-
-  for (;;) {
-    auto next = transport.Receive(net::Deadline::Infinite());
-    if (!next.ok()) return;
-    if (next->type == static_cast<std::uint8_t>(MsgType::kBye)) return;
-    const auto req_start = obs::TraceNow();
-    obs::RequestTrace trace;
-    trace.start_unix_ms = obs::UnixMillis();
-    auto request = DecodeGetRequest(*next);
-    if (!request.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrame(transport, StatusCode::kProtocolError,
-                     request.status().message());
-      return;
-    }
-    auto key = dpf::DpfKey::Deserialize(request->body);
-    if (!key.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrame(transport, StatusCode::kProtocolError,
-                     "malformed DPF key: " + key.status().message());
-      return;
-    }
-    trace.stages.decode_ns = obs::ElapsedNs(req_start);
-    auto answer = fanout_.Answer(*key);
-    if (!answer.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrame(transport, answer.status().code(),
-                     answer.status().message());
-      continue;
-    }
-    GetResponse response;
-    response.request_id = request->request_id;
-    response.body = std::move(*answer);
-    const auto reply_start = obs::TraceNow();
-    const bool sent = transport.Send(Encode(response)).ok();
-    // Expansion and scanning happen on the data shards, so the front-end's
-    // trace carries decode/reply only; the shard wait rides in total_ns.
-    trace.stages.reply_ns = obs::ElapsedNs(reply_start);
-    trace.total_ns = obs::ElapsedNs(req_start);
-    obs::M().frontend_requests.Inc();
-    obs::TraceRing::Default().Record(trace);
-    if (!sent) return;
-  }
-}
-
-void FrontEndServer::ServeConnectionDetached(
-    std::unique_ptr<net::Transport> transport) {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  if (stopping_) {
-    transport->Close();
-    return;
-  }
-  net::Transport* raw = transport.get();
-  owned_transports_.push_back(std::move(transport));
-  threads_.emplace_back([this, raw] { ServeConnection(*raw); });
-}
-
 Status FrontEndServer::ServeOnReactor(net::Reactor& reactor,
                                       net::TcpListener listener) {
   auto awaiting_hello =
@@ -989,18 +626,7 @@ Status FrontEndServer::ServeOnReactor(net::Reactor& reactor,
   handler.on_frame = [this, awaiting_hello, &reactor](net::Reactor::ConnId id,
                                                       net::Frame frame) {
     if (awaiting_hello->erase(id) > 0) {
-      auto hello = DecodeClientHello(frame);
-      bool supports_pir = false;
-      if (hello.ok()) {
-        for (Mode m : hello->supported_modes) {
-          supports_pir |= (m == Mode::kTwoServerPir);
-        }
-      }
-      if (!hello.ok() || hello->version != kProtocolVersion ||
-          !supports_pir) {
-        SendErrorFrameTo(reactor, id, StatusCode::kFailedPrecondition,
-                         "front-end requires two-server-pir mode");
-        reactor.CloseAfterFlush(id);
+      if (!CheckHelloFrame(reactor, id, frame, Mode::kTwoServerPir).ok()) {
         return;
       }
       ServerHello server_hello;
@@ -1038,10 +664,10 @@ Status FrontEndServer::ServeOnReactor(net::Reactor& reactor,
     }
     const std::uint64_t decode_ns = obs::ElapsedNs(req_start);
     // The fan-out is non-blocking: the op pipelines onto the shard links
-    // and this handler returns to the loop. The completion callback (a
-    // link reader thread or the reactor loop, depending on the link
-    // backend) queues the reply with the thread-safe reactor.Send — out of
-    // order across GETs, matched to the right client by the captured id.
+    // and this handler returns to the loop. The completion callback (the
+    // loop thread or the fan-out's expiry sweeper) queues the reply with
+    // the thread-safe reactor.Send — out of order across GETs, matched to
+    // the right client by the captured id.
     fanout_.AnswerAsync(
         *key, [&reactor, id, request_id = request->request_id, req_start,
                start_unix_ms, decode_ns](Result<Bytes> answer) {

@@ -10,7 +10,7 @@
 //
 // ShardDataServer holds one residue class of the universe (shard s owns
 // indices ≡ s mod 2^top_bits, matching dpf::SplitForShards) and answers
-// sub-tree queries over an internal framed transport. FrontEndServer speaks
+// sub-tree queries over an internal framed connection. FrontEndServer speaks
 // standard ZLTP to clients; per GET it expands the top of the client's DPF
 // key once, fans the sub-tree roots out to every shard, and XOR-combines
 // the shard answers into the client's record share.
@@ -25,12 +25,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dpf/dpf.h"
 #include "net/reactor.h"
-#include "net/transport.h"
 #include "pir/blob_db.h"
 #include "util/bytes.h"
 #include "util/clock.h"
@@ -58,7 +56,6 @@ class ShardDataServer {
   // small instance — paper §5.2).
   ShardDataServer(const ShardTopology& topology, std::size_t shard_index,
                   int num_threads = 1);
-  ~ShardDataServer();
 
   ShardDataServer(const ShardDataServer&) = delete;
   ShardDataServer& operator=(const ShardDataServer&) = delete;
@@ -73,10 +70,6 @@ class ShardDataServer {
   // Local answer to one sub-tree query (for in-process use and tests).
   Result<Bytes> Answer(const dpf::SubtreeKey& key) const;
 
-  // Serves framed sub-tree queries until the peer disconnects.
-  void ServeConnection(net::Transport& transport);
-  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
-
   // Event-driven serving: sub-tree queries decode on the loop and compute
   // on a dispatcher worker (teardown order: see ZltpPirServer, server.h).
   Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener);
@@ -87,12 +80,7 @@ class ShardDataServer {
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   mutable std::mutex db_mu_;
   pir::BlobDatabase db_;
-
-  std::mutex threads_mu_;  // snapshot-then-join discipline (see server.h)
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<net::Transport>> owned_transports_;
-  std::unique_ptr<TaskQueue> dispatch_;  // last member: joins first
+  TaskQueue dispatch_{1};  // last member: joins first
 };
 
 // Tuning for the multiplexed fan-out (ShardFanout).
@@ -104,14 +92,6 @@ struct FanoutOptions {
   std::chrono::milliseconds op_timeout{5000};
   // Time source for op deadlines. null = Clock::Real().
   Clock* clock = nullptr;
-  // Optional per-shard redial factories, in shard order (empty, or one per
-  // shard). After a link-level failure — transport error, or a shard error
-  // frame, which carries no request id and so poisons the stream's only
-  // remaining correlation — the fan-out closes the link and dials a fresh
-  // one instead of trying to resynchronize a stream it no longer trusts.
-  // Without a factory a failed link stays down and ops touching it fail
-  // fast with the link's error.
-  std::vector<net::TransportFactory> redial;
 };
 
 // The front-end's private-GET engine: splits a client key and queries every
@@ -127,22 +107,20 @@ struct FanoutOptions {
 // (an early error return leaving unread replies in other shards' pipes).
 class ShardFanout {
  public:
-  // Invoked exactly once per AnswerAsync, possibly on a link reader
-  // thread, a reactor loop thread, or (for immediate failures) the calling
-  // thread. Must not block.
+  // Invoked exactly once per AnswerAsync, on the reactor loop thread, the
+  // expiry sweeper, or (for immediate failures) the calling thread. Must
+  // not block.
   using AnswerCallback = std::function<void(Result<Bytes>)>;
 
-  // One transport per shard, in shard order. The fan-out owns them and
-  // runs a reader/writer thread pair per link.
-  ShardFanout(const ShardTopology& topology,
-              std::vector<std::unique_ptr<net::Transport>> shard_links,
-              FanoutOptions options = {});
-
-  // Reactor-multiplexed links: dials every shard address through `reactor`
-  // (non-blocking connects; net::Reactor::Connect), so one loop thread
-  // carries all outbound shard traffic and no fan-out threads exist.
-  // Teardown order matches the serving contract (server.h): stop the
-  // reactor first, then destroy the fan-out, then the reactor object.
+  // Dials every shard address through `reactor` (non-blocking connects;
+  // net::Reactor::Connect), so one loop thread carries all outbound shard
+  // traffic and no per-link threads exist. After a link-level failure —
+  // connection loss, or a shard error frame, which carries no request id
+  // and so poisons the stream's only correlation — the link closes and the
+  // next op redials the same address instead of resynchronizing a stream
+  // it no longer trusts. Teardown order matches the serving contract
+  // (server.h): stop the reactor first, then destroy the fan-out, then the
+  // reactor object.
   struct ShardAddr {
     std::string host;
     std::uint16_t port = 0;
@@ -165,17 +143,14 @@ class ShardFanout {
   // deadline, link failure). Many ops may be in flight at once.
   void AnswerAsync(const dpf::DpfKey& key, AnswerCallback done);
 
-  // Blocking wrapper around AnswerAsync for the threaded serve path and
-  // direct callers. Concurrent callers pipeline — there is no fan-out-wide
-  // mutex around the shard round trips.
+  // Blocking wrapper around AnswerAsync for direct callers. Concurrent
+  // callers pipeline — there is no fan-out-wide mutex around the shard
+  // round trips.
   Result<Bytes> Answer(const dpf::DpfKey& key);
 
-  // The correlation table + links. Defined in frontend.cc; public only so
-  // the link backends there (plain classes, not members) can derive from
-  // Mux::Link.
-  class Mux;
-
  private:
+  class Mux;  // the correlation table + links, defined in frontend.cc
+
   explicit ShardFanout(std::unique_ptr<Mux> mux);
   std::unique_ptr<Mux> mux_;
 };
@@ -186,13 +161,9 @@ class ShardFanout {
 class FrontEndServer {
  public:
   FrontEndServer(std::uint8_t role, Bytes keyword_seed, ShardFanout fanout);
-  ~FrontEndServer();
 
   FrontEndServer(const FrontEndServer&) = delete;
   FrontEndServer& operator=(const FrontEndServer&) = delete;
-
-  void ServeConnection(net::Transport& transport);
-  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
 
   // Event-driven serving: GETs decode on the loop and go straight into
   // ShardFanout::AnswerAsync — the fan-out is non-blocking, so no
@@ -207,11 +178,6 @@ class FrontEndServer {
   std::uint8_t role_;
   Bytes keyword_seed_;
   ShardFanout fanout_;
-
-  std::mutex threads_mu_;  // snapshot-then-join discipline (see server.h)
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<net::Transport>> owned_transports_;
 };
 
 }  // namespace lw::zltp

@@ -12,11 +12,8 @@
 
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 #include "net/reactor.h"
-#include "net/transport.h"
 #include "oram/enclave.h"
 #include "util/task_queue.h"
 #include "util/thread_pool.h"
@@ -39,21 +36,10 @@ class ZltpPirServer {
   // `role` is 0 or 1 — which of the two non-colluding servers this is.
   ZltpPirServer(const PirStore& store, std::uint8_t role,
                 ServerOptions options = {});
-  // Back-compat convenience: batching knobs only, default threading.
-  ZltpPirServer(const PirStore& store, std::uint8_t role,
-                BatchConfig batch_config);
   ~ZltpPirServer();
 
   ZltpPirServer(const ZltpPirServer&) = delete;
   ZltpPirServer& operator=(const ZltpPirServer&) = delete;
-
-  // Serves one client connection until the peer says Bye or disconnects.
-  // Blocking; safe to call from many threads at once.
-  void ServeConnection(net::Transport& transport);
-
-  // Spawns a thread serving the connection; the thread (and transport) are
-  // reaped by the destructor.
-  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
 
   // Event-driven serving: registers `listener` on `reactor` and answers
   // every connection it accepts without a thread per connection — frames
@@ -74,26 +60,14 @@ class ZltpPirServer {
   std::uint8_t role_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   BatchScheduler batcher_;            // after pool_: it scans on the pool
-
-  // Guards the detached-serving state below. The destructor snapshots and
-  // joins OUTSIDE this lock: a joined handler may itself be blocked on
-  // ServeConnectionDetached, so joining under the lock can deadlock.
-  std::mutex threads_mu_;
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<net::Transport>> owned_transports_;
 };
 
 class ZltpEnclaveServer {
  public:
   explicit ZltpEnclaveServer(oram::KvEnclave& enclave);
-  ~ZltpEnclaveServer();
 
   ZltpEnclaveServer(const ZltpEnclaveServer&) = delete;
   ZltpEnclaveServer& operator=(const ZltpEnclaveServer&) = delete;
-
-  void ServeConnection(net::Transport& transport);
-  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
 
   // Event-driven serving (same teardown order as ZltpPirServer). The
   // enclave computes serially behind enclave_mu_, so decoded requests hop
@@ -103,14 +77,10 @@ class ZltpEnclaveServer {
  private:
   oram::KvEnclave& enclave_;
   std::mutex enclave_mu_;  // the enclave processes one request at a time
-
-  std::mutex threads_mu_;  // same snapshot-then-join discipline as above
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<net::Transport>> owned_transports_;
-  // Reactor-mode dispatcher (created on first ServeOnReactor). Declared
-  // last so its destructor joins before the rest of the server goes away.
-  std::unique_ptr<TaskQueue> dispatch_;
+  // One dispatcher worker: the enclave is serialized by enclave_mu_ anyway,
+  // and one worker preserves per-connection reply order. Declared last so
+  // its destructor joins before the rest of the server goes away.
+  TaskQueue dispatch_{1};
 };
 
 }  // namespace lw::zltp

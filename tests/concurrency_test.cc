@@ -10,6 +10,7 @@
 #include "lightweb/channel.h"
 #include "net/transport.h"
 #include "pir/two_server.h"
+#include "reactor_serving.h"
 #include "util/file.h"
 #include "util/rand.h"
 #include "util/thread_pool.h"
@@ -20,6 +21,8 @@
 
 namespace lw {
 namespace {
+
+using testutil::ReactorServing;
 
 zltp::PirStoreConfig StoreConfig() {
   zltp::PirStoreConfig c;
@@ -98,23 +101,24 @@ TEST(Concurrency, ManyClientsOneBatchingServer) {
   zltp::BatchConfig batch_config;
   batch_config.max_batch = 8;
   batch_config.max_wait = std::chrono::milliseconds(5);
-  zltp::ZltpPirServer server0(store, 0, batch_config);
-  zltp::ZltpPirServer server1(store, 1, batch_config);
+  ReactorServing serving;
+  zltp::ZltpPirServer& server0 = serving.Make<zltp::ZltpPirServer>(
+      store, 0, zltp::ServerOptions{batch_config});
+  const std::uint16_t port0 = serving.Serve(server0);
+  const std::uint16_t port1 = serving.Serve(serving.Make<zltp::ZltpPirServer>(
+      store, 1, zltp::ServerOptions{batch_config}));
 
   constexpr int kClients = 6;
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    net::TransportPair p0 = net::CreateInMemoryPair();
-    net::TransportPair p1 = net::CreateInMemoryPair();
-    server0.ServeConnectionDetached(std::move(p0.b));
-    server1.ServeConnectionDetached(std::move(p1.b));
     clients.emplace_back(
-        [&, c, t0 = std::move(p0.a), t1 = std::move(p1.a)]() mutable {
+        [&, c] {
           auto session =
               zltp::PirSession::Establish(
                   zltp::EstablishOptions::FromTransports(
-      std::move(t0), std::move(t1)));
+                      ReactorServing::Connect(port0),
+                      ReactorServing::Connect(port1)));
           if (!session.ok()) {
             ++failures;
             return;
@@ -147,22 +151,22 @@ TEST(Concurrency, PipelinedBatchesFromParallelClients) {
       keys.push_back(key);
     }
   }
-  zltp::ZltpPirServer server0(store, 0);
-  zltp::ZltpPirServer server1(store, 1);
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0));
+  const std::uint16_t port1 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1));
 
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < 4; ++c) {
-    net::TransportPair p0 = net::CreateInMemoryPair();
-    net::TransportPair p1 = net::CreateInMemoryPair();
-    server0.ServeConnectionDetached(std::move(p0.b));
-    server1.ServeConnectionDetached(std::move(p1.b));
     clients.emplace_back(
-        [&, t0 = std::move(p0.a), t1 = std::move(p1.a)]() mutable {
+        [&] {
           auto session =
               zltp::PirSession::Establish(
                   zltp::EstablishOptions::FromTransports(
-      std::move(t0), std::move(t1)));
+                      ReactorServing::Connect(port0),
+                      ReactorServing::Connect(port1)));
           if (!session.ok()) {
             ++failures;
             return;

@@ -15,6 +15,7 @@
 #include "pir/keyword.h"
 #include "pir/packing.h"
 #include "pir/two_server.h"
+#include "reactor_serving.h"
 #include "util/clock.h"
 #include "zltp/client.h"
 #include "zltp/frontend.h"
@@ -23,6 +24,8 @@
 
 namespace lw {
 namespace {
+
+using testutil::ReactorServing;
 
 // All establishes in this file go through EstablishOptions (the redesigned
 // API); resilience knobs default to NoRetry so injected faults surface.
@@ -42,17 +45,16 @@ zltp::PirStoreConfig StoreConfig() {
 
 TEST(FailureInjection, SessionDiesDuringEstablish) {
   zltp::PirStore store(StoreConfig());
-  zltp::ZltpPirServer server0(store, 0);
-  zltp::ZltpPirServer server1(store, 1);
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  server0.ServeConnectionDetached(std::move(p0.b));
-  server1.ServeConnectionDetached(std::move(p1.b));
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0));
+  const std::uint16_t port1 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1));
 
   // Connection 0 dies before the hello completes.
   auto session = EstablishPair(
-      std::make_unique<net::DyingTransport>(std::move(p0.a), 1),
-      std::move(p1.a));
+      std::make_unique<net::DyingTransport>(ReactorServing::Connect(port0), 1),
+      ReactorServing::Connect(port1));
   EXPECT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kUnavailable);
 }
@@ -60,17 +62,16 @@ TEST(FailureInjection, SessionDiesDuringEstablish) {
 TEST(FailureInjection, ServerDiesBetweenRequests) {
   zltp::PirStore store(StoreConfig());
   ASSERT_TRUE(store.Publish("k", ToBytes("v")).ok());
-  zltp::ZltpPirServer server0(store, 0);
-  zltp::ZltpPirServer server1(store, 1);
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  server0.ServeConnectionDetached(std::move(p0.b));
-  server1.ServeConnectionDetached(std::move(p1.b));
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0));
+  const std::uint16_t port1 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1));
 
   // Hello (2 ops) + first GET (2 ops) survive; the link dies afterwards.
   auto session = EstablishPair(
-      std::make_unique<net::DyingTransport>(std::move(p0.a), 4),
-      std::move(p1.a));
+      std::make_unique<net::DyingTransport>(ReactorServing::Connect(port0), 4),
+      ReactorServing::Connect(port1));
   ASSERT_TRUE(session.ok());
   EXPECT_TRUE(session->PrivateGet("k").ok());
 
@@ -87,16 +88,15 @@ TEST(FailureInjection, BatchFailsCleanlyWhenServerDies) {
   for (int i = 0; i < 5; ++i) {
     (void)store.Publish("k" + std::to_string(i), ToBytes("v"));
   }
-  zltp::ZltpPirServer server0(store, 0);
-  zltp::ZltpPirServer server1(store, 1);
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  server0.ServeConnectionDetached(std::move(p0.b));
-  server1.ServeConnectionDetached(std::move(p1.b));
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0));
+  const std::uint16_t port1 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1));
 
   auto session = EstablishPair(
-      std::move(p0.a),
-      std::make_unique<net::DyingTransport>(std::move(p1.a), 6));
+      ReactorServing::Connect(port0),
+      std::make_unique<net::DyingTransport>(ReactorServing::Connect(port1), 6));
   ASSERT_TRUE(session.ok());
   auto batch = session->PrivateGetBatch({"k0", "k1", "k2", "k3", "k4"});
   EXPECT_FALSE(batch.ok());
@@ -109,16 +109,16 @@ TEST(FailureInjection, CorruptedServerAnswerDetected) {
   // protocol error, never silently-wrong data.
   zltp::PirStore store(StoreConfig());
   ASSERT_TRUE(store.Publish("page", ToBytes("truth")).ok());
-  zltp::ZltpPirServer server0(store, 0);
-  zltp::ZltpPirServer server1(store, 1);
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  server0.ServeConnectionDetached(std::move(p0.b));
-  server1.ServeConnectionDetached(std::move(p1.b));
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0));
+  const std::uint16_t port1 =
+      serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1));
 
   auto session = EstablishPair(
-      std::move(p0.a),
-      std::make_unique<net::CorruptingTransport>(std::move(p1.a)));
+      ReactorServing::Connect(port0),
+      std::make_unique<net::CorruptingTransport>(
+          ReactorServing::Connect(port1)));
   // The hello itself may already fail to parse; if it succeeds, the GET
   // must not return fabricated content.
   if (!session.ok()) {
@@ -139,21 +139,28 @@ TEST(FailureInjection, ShardOutageFailsFanout) {
   topology.top_bits = 1;  // 2 shards
   topology.record_size = 64;
 
-  zltp::ShardDataServer shard0(topology, 0);
-  zltp::ShardDataServer shard1(topology, 1);
-  net::TransportPair l0 = net::CreateInMemoryPair();
-  net::TransportPair l1 = net::CreateInMemoryPair();
-  shard0.ServeConnectionDetached(std::move(l0.b));
-  shard1.ServeConnectionDetached(std::move(l1.b));
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<zltp::ShardDataServer>(topology, 0));
+  const std::uint16_t port1 =
+      serving.Serve(serving.Make<zltp::ShardDataServer>(topology, 1));
 
-  std::vector<std::unique_ptr<net::Transport>> links;
-  links.push_back(std::move(l0.a));
-  // Shard 1's link is already dead.
-  links.push_back(std::make_unique<net::DyingTransport>(std::move(l1.a), 0));
-  zltp::ShardFanout fanout(topology, std::move(links));
+  // Shard 1 is down: every connection the relay hands it dies on its
+  // first operation past the relay's own eager receive.
+  net::FaultRelay::Options outage;
+  outage.decorate = [](std::unique_ptr<net::Transport> far, int) {
+    return std::unique_ptr<net::Transport>(
+        std::make_unique<net::DyingTransport>(std::move(far), 1));
+  };
+  auto relay = net::FaultRelay::Start("127.0.0.1", port1, std::move(outage));
+  ASSERT_TRUE(relay.ok()) << relay.status().ToString();
+  auto fanout = zltp::ShardFanout::ConnectOnReactor(
+      topology, serving.reactor(),
+      {{"127.0.0.1", port0}, {"127.0.0.1", (*relay)->port()}});
+  ASSERT_TRUE(fanout.ok()) << fanout.status().ToString();
 
   const pir::QueryKeys q = pir::MakeIndexQuery(3, 10);
-  auto answer = fanout.Answer(q.key0);
+  auto answer = fanout->Answer(q.key0);
   EXPECT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kUnavailable);
 }
@@ -177,25 +184,18 @@ TEST(FailureInjection, BrowserSurfacesChannelFailure) {
   ASSERT_TRUE(pub.PublishData(universe, "a.example/data.json",
                               json::Value(blob)).ok());
 
-  zltp::ZltpPirServer code0(universe.code_store(), 0);
-  zltp::ZltpPirServer code1(universe.code_store(), 1);
-  zltp::ZltpPirServer data0(universe.data_store(), 0);
-  zltp::ZltpPirServer data1(universe.data_store(), 1);
-  net::TransportPair c0 = net::CreateInMemoryPair();
-  net::TransportPair c1 = net::CreateInMemoryPair();
-  net::TransportPair d0 = net::CreateInMemoryPair();
-  net::TransportPair d1 = net::CreateInMemoryPair();
-  code0.ServeConnectionDetached(std::move(c0.b));
-  code1.ServeConnectionDetached(std::move(c1.b));
-  data0.ServeConnectionDetached(std::move(d0.b));
-  data1.ServeConnectionDetached(std::move(d1.b));
-
-  auto code_session =
-      EstablishPair(std::move(c0.a), std::move(c1.a));
+  ReactorServing serving;
+  auto serve = [&](const zltp::PirStore& store, std::uint8_t role) {
+    return ReactorServing::Connect(
+        serving.Serve(serving.Make<zltp::ZltpPirServer>(store, role)));
+  };
+  auto code_session = EstablishPair(serve(universe.code_store(), 0),
+                                    serve(universe.code_store(), 1));
   // The data channel dies after the hello.
   auto data_session = EstablishPair(
-      std::make_unique<net::DyingTransport>(std::move(d0.a), 2),
-      std::move(d1.a));
+      std::make_unique<net::DyingTransport>(serve(universe.data_store(), 0),
+                                            2),
+      serve(universe.data_store(), 1));
   ASSERT_TRUE(code_session.ok());
   ASSERT_TRUE(data_session.ok());
 
@@ -236,24 +236,18 @@ TEST(FailureInjection, PageLoadSurvivesMidLoadServerCrash) {
   ASSERT_TRUE(pub.PublishData(universe, "a.example/data.json",
                               json::Value(blob)).ok());
 
-  zltp::ZltpPirServer code0(universe.code_store(), 0);
-  zltp::ZltpPirServer code1(universe.code_store(), 1);
-  zltp::ZltpPirServer data0(universe.data_store(), 0);
-  zltp::ZltpPirServer data1(universe.data_store(), 1);
-  auto dial = [](zltp::ZltpPirServer& s) -> net::TransportFactory {
-    return [&s]() -> Result<std::unique_ptr<net::Transport>> {
-      net::TransportPair p = net::CreateInMemoryPair();
-      s.ServeConnectionDetached(std::move(p.b));
-      return std::move(p.a);
-    };
+  ReactorServing serving;
+  auto dial = [&](const zltp::PirStore& store, std::uint8_t role) {
+    return ReactorServing::Dialer(
+        serving.Serve(serving.Make<zltp::ZltpPirServer>(store, role)));
   };
 
   FakeClock fake;
-  auto connect = [&](zltp::ZltpPirServer& s0, zltp::ZltpPirServer& s1,
+  auto connect = [&](const zltp::PirStore& store,
                      bool first_connection_dies) {
     zltp::EstablishOptions options;
-    options.factory0 = dial(s0);
-    options.factory1 = dial(s1);
+    options.factory0 = dial(store, 0);
+    options.factory1 = dial(store, 1);
     if (first_connection_dies) {
       net::TransportFactory inner = options.factory0;
       auto dials = std::make_shared<std::atomic<int>>(0);
@@ -274,8 +268,9 @@ TEST(FailureInjection, PageLoadSurvivesMidLoadServerCrash) {
     return zltp::PirSession::Establish(std::move(options));
   };
 
-  auto code_session = connect(code0, code1, false);
-  auto data_session = connect(data0, data1, /*first_connection_dies=*/true);
+  auto code_session = connect(universe.code_store(), false);
+  auto data_session =
+      connect(universe.data_store(), /*first_connection_dies=*/true);
   ASSERT_TRUE(code_session.ok()) << code_session.status().ToString();
   ASSERT_TRUE(data_session.ok()) << data_session.status().ToString();
 

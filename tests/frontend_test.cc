@@ -4,19 +4,19 @@
 // over 2^top_bits shard servers.
 #include <gtest/gtest.h>
 
-#include <thread>
-
-#include "net/tcp.h"
 #include "net/transport.h"
 #include "pir/keyword.h"
 #include "pir/packing.h"
 #include "pir/two_server.h"
+#include "reactor_serving.h"
 #include "util/rand.h"
 #include "zltp/client.h"
 #include "zltp/frontend.h"
 
 namespace lw::zltp {
 namespace {
+
+using testutil::ReactorServing;
 
 ShardTopology SmallTopology() {
   ShardTopology t;
@@ -26,16 +26,20 @@ ShardTopology SmallTopology() {
   return t;
 }
 
-// A deployment: shard servers plus the loaded content, addressable by key.
+// A deployment: shard servers served on `serving` plus the loaded
+// content, addressable by key.
 struct Deployment {
   ShardTopology topology = SmallTopology();
   Bytes keyword_seed = Bytes(16, 0x77);
-  std::vector<std::unique_ptr<ShardDataServer>> shards;
+  ReactorServing& serving;
+  std::vector<ShardDataServer*> shards;  // owned by `serving`
+  std::vector<ShardFanout::ShardAddr> addrs;
   pir::KeywordMapper mapper{Bytes(16, 0x77), 12};
 
-  Deployment() {
+  explicit Deployment(ReactorServing& serving) : serving(serving) {
     for (std::size_t s = 0; s < topology.shard_count(); ++s) {
-      shards.push_back(std::make_unique<ShardDataServer>(topology, s));
+      shards.push_back(&serving.Make<ShardDataServer>(topology, s));
+      addrs.push_back({"127.0.0.1", serving.Serve(*shards.back())});
     }
   }
 
@@ -50,16 +54,19 @@ struct Deployment {
     return shards[shard]->Load(index, record);
   }
 
-  // Wires a fresh fan-out: one in-memory link per shard, each served by a
-  // detached shard thread.
+  // Wires a fresh fan-out: one reactor link per shard.
   ShardFanout MakeFanout() {
-    std::vector<std::unique_ptr<net::Transport>> links;
-    for (auto& shard : shards) {
-      net::TransportPair pair = net::CreateInMemoryPair();
-      shard->ServeConnectionDetached(std::move(pair.b));
-      links.push_back(std::move(pair.a));
-    }
-    return ShardFanout(topology, std::move(links));
+    auto fanout =
+        ShardFanout::ConnectOnReactor(topology, serving.reactor(), addrs);
+    EXPECT_TRUE(fanout.ok()) << fanout.status().ToString();
+    return std::move(*fanout);
+  }
+
+  // A front-end over this deployment, served on `serving`; returns its
+  // client port.
+  std::uint16_t ServeFrontEnd(std::uint8_t role) {
+    return serving.Serve(
+        serving.Make<FrontEndServer>(role, keyword_seed, MakeFanout()));
   }
 };
 
@@ -83,7 +90,8 @@ TEST(ShardDataServer, AnswerRejectsWrongDepth) {
 }
 
 TEST(ShardFanout, MatchesUnshardedAnswer) {
-  Deployment deployment;
+  ReactorServing serving;
+  Deployment deployment(serving);
   Rng rng(4);
   // Publish some records and mirror them into a reference single DB.
   pir::BlobDatabase reference(deployment.topology.domain_bits,
@@ -113,7 +121,8 @@ TEST(ShardFanout, MatchesUnshardedAnswer) {
 }
 
 TEST(ShardFanout, RejectsWrongDomain) {
-  Deployment deployment;
+  ReactorServing serving;
+  Deployment deployment(serving);
   ShardFanout fanout = deployment.MakeFanout();
   const pir::QueryKeys q = pir::MakeIndexQuery(0, 10);  // wrong domain
   EXPECT_FALSE(fanout.Answer(q.key0).ok());
@@ -122,7 +131,8 @@ TEST(ShardFanout, RejectsWrongDomain) {
 TEST(FrontEnd, FullClientSessionAgainstShardedDeployment) {
   // Two logical servers (role 0/1), each a front-end over ITS OWN set of
   // shard data servers — the complete §5.2 topology, client-side unchanged.
-  Deployment replica0, replica1;
+  ReactorServing serving;
+  Deployment replica0(serving), replica1(serving);
   std::vector<std::string> published;
   for (int i = 0; i < 30; ++i) {
     const std::string key = "article/" + std::to_string(i);
@@ -134,17 +144,11 @@ TEST(FrontEnd, FullClientSessionAgainstShardedDeployment) {
   }
   ASSERT_GT(published.size(), 25u);
 
-  FrontEndServer frontend0(0, replica0.keyword_seed, replica0.MakeFanout());
-  FrontEndServer frontend1(1, replica1.keyword_seed, replica1.MakeFanout());
+  const std::uint16_t port0 = replica0.ServeFrontEnd(0);
+  const std::uint16_t port1 = replica1.ServeFrontEnd(1);
 
-  net::TransportPair c0 = net::CreateInMemoryPair();
-  net::TransportPair c1 = net::CreateInMemoryPair();
-  frontend0.ServeConnectionDetached(std::move(c0.b));
-  frontend1.ServeConnectionDetached(std::move(c1.b));
-
-  auto session = PirSession::Establish(
-      EstablishOptions::FromTransports(
-      std::move(c0.a), std::move(c1.a)));
+  auto session = PirSession::Establish(EstablishOptions::FromTransports(
+      ReactorServing::Connect(port0), ReactorServing::Connect(port1)));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->domain_bits(), 12);
 
@@ -160,47 +164,27 @@ TEST(FrontEnd, FullClientSessionAgainstShardedDeployment) {
 }
 
 TEST(FrontEnd, RejectsEnclaveOnlyClient) {
-  Deployment deployment;
-  FrontEndServer frontend(0, deployment.keyword_seed,
-                          deployment.MakeFanout());
-  net::TransportPair pair = net::CreateInMemoryPair();
-  frontend.ServeConnectionDetached(std::move(pair.b));
+  ReactorServing serving;
+  Deployment deployment(serving);
+  std::unique_ptr<net::Transport> client =
+      ReactorServing::Connect(deployment.ServeFrontEnd(0));
+  ASSERT_NE(client, nullptr);
 
   ClientHello hello;
   hello.supported_modes = {Mode::kEnclave};
-  ASSERT_TRUE(pair.a->Send(Encode(hello)).ok());
-  auto reply = pair.a->Receive();
+  ASSERT_TRUE(client->Send(Encode(hello), net::Deadline::Infinite()).ok());
+  auto reply = client->Receive(net::Deadline::Infinite());
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(DecodeError(*reply).ok());
 }
 
 TEST(FrontEnd, ShardsOverTcp) {
-  // The shard links can be real sockets too.
-  Deployment deployment;
+  // The shard links are real sockets, dialed through the reactor.
+  ReactorServing serving;
+  Deployment deployment(serving);
   ASSERT_TRUE(deployment.Publish("k", ToBytes("v")).ok());
 
-  std::vector<std::unique_ptr<net::Transport>> links;
-  std::vector<net::TcpListener> listeners;
-  for (std::size_t s = 0; s < deployment.topology.shard_count(); ++s) {
-    auto listener = net::TcpListener::Listen(0);
-    ASSERT_TRUE(listener.ok());
-    listeners.push_back(std::move(*listener));
-  }
-  std::thread acceptor([&] {
-    for (std::size_t s = 0; s < listeners.size(); ++s) {
-      auto conn = listeners[s].Accept();
-      ASSERT_TRUE(conn.ok());
-      deployment.shards[s]->ServeConnectionDetached(std::move(*conn));
-    }
-  });
-  for (auto& listener : listeners) {
-    auto conn = net::TcpConnect("127.0.0.1", listener.bound_port());
-    ASSERT_TRUE(conn.ok());
-    links.push_back(std::move(*conn));
-  }
-  acceptor.join();
-
-  ShardFanout fanout(deployment.topology, std::move(links));
+  ShardFanout fanout = deployment.MakeFanout();
   const std::uint64_t index = deployment.mapper.IndexOf("k");
   const pir::QueryKeys q = pir::MakeIndexQuery(index, 12);
   auto a0 = fanout.Answer(q.key0);

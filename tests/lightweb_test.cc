@@ -13,6 +13,7 @@
 #include "lightweb/publisher.h"
 #include "lightweb/universe.h"
 #include "net/transport.h"
+#include "reactor_serving.h"
 #include "util/rand.h"
 #include "zltp/client.h"
 #include "zltp/server.h"
@@ -487,23 +488,18 @@ TEST(BrowserOverZltp, FullStackWithNetworkedSessions) {
   Universe universe(SmallUniverse());
   MakeNewsSite(universe);
 
-  zltp::ZltpPirServer code0(universe.code_store(), 0);
-  zltp::ZltpPirServer code1(universe.code_store(), 1);
-  zltp::ZltpPirServer data0(universe.data_store(), 0);
-  zltp::ZltpPirServer data1(universe.data_store(), 1);
-
-  auto connect = [](zltp::ZltpPirServer& s0, zltp::ZltpPirServer& s1) {
-    net::TransportPair p0 = net::CreateInMemoryPair();
-    net::TransportPair p1 = net::CreateInMemoryPair();
-    s0.ServeConnectionDetached(std::move(p0.b));
-    s1.ServeConnectionDetached(std::move(p1.b));
+  using testutil::ReactorServing;
+  ReactorServing serving;
+  auto connect = [&serving](const zltp::PirStore& store) {
     zltp::EstablishOptions options;
-    options.transport0 = std::move(p0.a);
-    options.transport1 = std::move(p1.a);
+    options.transport0 = ReactorServing::Connect(
+        serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0)));
+    options.transport1 = ReactorServing::Connect(
+        serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1)));
     return zltp::PirSession::Establish(std::move(options));
   };
-  auto code_session = connect(code0, code1);
-  auto data_session = connect(data0, data1);
+  auto code_session = connect(universe.code_store());
+  auto data_session = connect(universe.data_store());
   ASSERT_TRUE(code_session.ok());
   ASSERT_TRUE(data_session.ok());
 

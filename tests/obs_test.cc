@@ -20,6 +20,7 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reactor_serving.h"
 #include "zltp/client.h"
 #include "zltp/server.h"
 #include "zltp/store.h"
@@ -350,23 +351,24 @@ TEST(EndToEnd, PirRoundTripPopulatesServingMetrics) {
   EXPECT_EQ(m.store_records.Value(), records0 + 1);
 
   {
-    zltp::ZltpPirServer server0(store, 0);
-    zltp::ZltpPirServer server1(store, 1);
-    net::TransportPair p0 = net::CreateInMemoryPair();
-    net::TransportPair p1 = net::CreateInMemoryPair();
-    server0.ServeConnectionDetached(std::move(p0.b));
-    server1.ServeConnectionDetached(std::move(p1.b));
+    using testutil::ReactorServing;
+    ReactorServing serving;
+    const std::uint16_t port0 =
+        serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0));
+    const std::uint16_t port1 =
+        serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1));
     auto session =
-        zltp::PirSession::Establish(
-            zltp::EstablishOptions::FromTransports(
-      std::move(p0.a), std::move(p1.a)));
+        zltp::PirSession::Establish(zltp::EstablishOptions::FromTransports(
+            ReactorServing::Connect(port0), ReactorServing::Connect(port1)));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     auto value = session->PrivateGet("obs.example/page");
     ASSERT_TRUE(value.ok()) << value.status().ToString();
     EXPECT_EQ(ToString(*value), "observed");
     session->Close();
-    // Scope end joins the server threads, so every metric write (including
-    // the post-send request count) lands before the assertions below.
+    // Scope end stops the reactor (closing both connections) and then
+    // destroys the servers, whose batchers finish every completion — so
+    // every metric write (including the post-send request count) lands
+    // before the assertions below.
   }
 
   EXPECT_EQ(m.server_connections.Value(), connections0 + 2)

@@ -6,9 +6,7 @@
 // disconnectors and slow-loris tricklers — because the reactor's whole value
 // proposition is that misbehaving connections cost a buffer, not a thread.
 // Timer expiry (idle and write-stall) is driven by FakeClock Advance() +
-// Wakeup(), so the deadline tests take zero wall-clock time. The
-// equivalence test serves the same PIR store through both serving models
-// and requires byte-identical answers (docs/ARCHITECTURE.md).
+// Wakeup(), so the deadline tests take zero wall-clock time.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -31,9 +29,6 @@
 #include "util/bytes.h"
 #include "util/clock.h"
 #include "util/rand.h"
-#include "zltp/client.h"
-#include "zltp/server.h"
-#include "zltp/store.h"
 
 namespace lw::net {
 namespace {
@@ -540,102 +535,6 @@ TEST(Reactor, EstablishedOutboundConnIsExemptFromIdleTimeout) {
   }));
   reactor.Stop();
   server_reactor.Stop();
-}
-
-// ------------------------------------------------- serving equivalence
-
-zltp::PirStore MakeStore() {
-  zltp::PirStoreConfig config;
-  config.domain_bits = 10;
-  config.record_size = 256;
-  config.keyword_seed = Bytes(16, 0x7e);
-  return zltp::PirStore(config);
-}
-
-TEST(Reactor, PirRepliesMatchThreadedServing) {
-  // The same store, served both ways; private GETs for the same indices
-  // must produce byte-identical records. This is the A/B contract that
-  // makes --serve-mode an implementation detail rather than a behavior
-  // change (docs/ARCHITECTURE.md).
-  zltp::PirStore store = MakeStore();
-  {
-    Rng rng(5);
-    Bytes value(100);
-    for (int i = 0; i < 40; ++i) {
-      rng.Fill(value);
-      const Status published =
-          store.Publish("page/" + std::to_string(i), value);
-      ASSERT_TRUE(published.ok()) << published.ToString();
-    }
-  }
-  zltp::ServerOptions options;
-  options.num_threads = 1;
-
-  // Threaded pair.
-  zltp::ZltpPirServer t_server0(store, 0, options);
-  zltp::ZltpPirServer t_server1(store, 1, options);
-  auto t_listener0 = TcpListener::Listen(0);
-  auto t_listener1 = TcpListener::Listen(0);
-  ASSERT_TRUE(t_listener0.ok() && t_listener1.ok());
-  std::thread accept0([&] {
-    for (;;) {
-      auto conn = t_listener0->Accept();
-      if (!conn.ok()) return;
-      t_server0.ServeConnectionDetached(std::move(*conn));
-    }
-  });
-  std::thread accept1([&] {
-    for (;;) {
-      auto conn = t_listener1->Accept();
-      if (!conn.ok()) return;
-      t_server1.ServeConnectionDetached(std::move(*conn));
-    }
-  });
-
-  // Reactor pair (reactor declared before the servers' callbacks can
-  // outlive it is not a concern here: Stop() runs before teardown).
-  Reactor reactor;
-  zltp::ZltpPirServer r_server0(store, 0, options);
-  zltp::ZltpPirServer r_server1(store, 1, options);
-  auto r_listener0 = TcpListener::Listen(0);
-  auto r_listener1 = TcpListener::Listen(0);
-  ASSERT_TRUE(r_listener0.ok() && r_listener1.ok());
-  const std::uint16_t r_port0 = r_listener0->bound_port();
-  const std::uint16_t r_port1 = r_listener1->bound_port();
-  ASSERT_TRUE(r_server0.ServeOnReactor(reactor, std::move(*r_listener0)).ok());
-  ASSERT_TRUE(r_server1.ServeOnReactor(reactor, std::move(*r_listener1)).ok());
-  ASSERT_TRUE(reactor.Start().ok());
-
-  auto connect_session = [&](std::uint16_t p0, std::uint16_t p1) {
-    auto c0 = TcpConnect("127.0.0.1", p0);
-    auto c1 = TcpConnect("127.0.0.1", p1);
-    EXPECT_TRUE(c0.ok() && c1.ok());
-    return zltp::PirSession::Establish(std::move(*c0), std::move(*c1));
-  };
-  auto threaded = connect_session(t_listener0->bound_port(),
-                                  t_listener1->bound_port());
-  auto reactored = connect_session(r_port0, r_port1);
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  ASSERT_TRUE(reactored.ok()) << reactored.status().ToString();
-
-  Rng rng(11);
-  const std::uint64_t domain = std::uint64_t{1} << store.domain_bits();
-  for (int i = 0; i < 24; ++i) {
-    const std::uint64_t index = rng.UniformInt(domain);
-    auto a = threaded->PrivateGetIndex(index);
-    auto b = reactored->PrivateGetIndex(index);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(*a, *b) << "index " << index;
-  }
-  threaded->Close();
-  reactored->Close();
-
-  reactor.Stop();
-  t_listener0->Close();
-  t_listener1->Close();
-  accept0.join();
-  accept1.join();
 }
 
 // ----------------------------------------------- tcp send-path regression

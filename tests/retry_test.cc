@@ -13,6 +13,7 @@
 #include "net/retry.h"
 #include "net/transport.h"
 #include "oram/enclave.h"
+#include "reactor_serving.h"
 #include "util/clock.h"
 #include "zltp/client.h"
 #include "zltp/messages.h"
@@ -25,6 +26,7 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::nanoseconds;
 using std::chrono::seconds;
+using testutil::ReactorServing;
 
 // ------------------------------------------------------- policy mechanics
 
@@ -87,23 +89,24 @@ zltp::PirStoreConfig StoreConfig() {
   return c;
 }
 
-// Two live PIR servers plus factories that dial fresh in-memory
+// Two live PIR servers on a reactor plus factories that dial fresh TCP
 // connections to them — the shape a real deployment's redial has.
 struct TwoServers {
-  TwoServers() : store(StoreConfig()), server0(store, 0), server1(store, 1) {}
+  TwoServers()
+      : store(StoreConfig()),
+        ports{serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0)),
+              serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1))} {}
 
   net::TransportFactory Dial(int role) {
-    zltp::ZltpPirServer& s = role == 0 ? server0 : server1;
-    return [&s]() -> Result<std::unique_ptr<net::Transport>> {
-      net::TransportPair p = net::CreateInMemoryPair();
-      s.ServeConnectionDetached(std::move(p.b));
-      return std::move(p.a);
-    };
+    return ReactorServing::Dialer(ports[role]);
+  }
+  std::unique_ptr<net::Transport> Connect(int role) {
+    return ReactorServing::Connect(ports[role]);
   }
 
   zltp::PirStore store;
-  zltp::ZltpPirServer server0;
-  zltp::ZltpPirServer server1;
+  ReactorServing serving;  // after store: the servers read it
+  std::uint16_t ports[2];
 };
 
 // ------------------------------------------------------- establish retry
@@ -218,18 +221,14 @@ TEST(SessionRetryTest, GetRetriesAfterCrashWithFreshDpfShares) {
 TEST(SessionRetryTest, NoFactoryMeansNoRedial) {
   TwoServers servers;
   ASSERT_TRUE(servers.store.Publish("k", ToBytes("v")).ok());
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  servers.server0.ServeConnectionDetached(std::move(p0.b));
-  servers.server1.ServeConnectionDetached(std::move(p1.b));
 
   FakeClock fake;
   zltp::EstablishOptions options;
   // Dies right after the hello; with no factory the retry loop cannot
   // redial, so the failure surfaces (after dropping the dead pair).
   options.transport0 =
-      std::make_unique<net::DyingTransport>(std::move(p0.a), 2);
-  options.transport1 = std::move(p1.a);
+      std::make_unique<net::DyingTransport>(servers.Connect(0), 2);
+  options.transport1 = servers.Connect(1);
   options.retry.max_attempts = 5;
   options.retry.jitter = 0.0;
   options.clock = &fake;
@@ -282,18 +281,14 @@ TEST(SessionRetryTest, RedialReverifiesServerRoles) {
 TEST(SessionRetryTest, SlowPeerHitsDeadlineWithoutRealSleeps) {
   TwoServers servers;
   ASSERT_TRUE(servers.store.Publish("k", ToBytes("v")).ok());
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  servers.server0.ServeConnectionDetached(std::move(p0.b));
-  servers.server1.ServeConnectionDetached(std::move(p1.b));
 
   FakeClock fake;
   zltp::EstablishOptions options;
   // The role-0 peer takes 200ms (of fake time) per answer: fine for the
   // 1s hello budget, fatal for the 100ms op budget.
-  options.transport0 =
-      std::make_unique<net::DelayTransport>(std::move(p0.a), milliseconds(200));
-  options.transport1 = std::move(p1.a);
+  options.transport0 = std::make_unique<net::DelayTransport>(
+      servers.Connect(0), milliseconds(200));
+  options.transport1 = servers.Connect(1);
   options.hello_timeout = seconds(1);
   options.op_timeout = milliseconds(100);
   options.clock = &fake;
@@ -312,18 +307,14 @@ TEST(SessionRetryTest, SlowPeerHitsDeadlineWithoutRealSleeps) {
 TEST(SessionRetryTest, DeadlineExceededRecoveredByRedial) {
   TwoServers servers;
   ASSERT_TRUE(servers.store.Publish("k", ToBytes("v")).ok());
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  servers.server0.ServeConnectionDetached(std::move(p0.b));
-  servers.server1.ServeConnectionDetached(std::move(p1.b));
 
   FakeClock fake;
   zltp::EstablishOptions options;
   // Initial role-0 connection stalls past any op deadline; the redial
   // (via the factories) reaches a healthy server.
   options.transport0 =
-      std::make_unique<net::DelayTransport>(std::move(p0.a), seconds(30));
-  options.transport1 = std::move(p1.a);
+      std::make_unique<net::DelayTransport>(servers.Connect(0), seconds(30));
+  options.transport1 = servers.Connect(1);
   options.factory0 = servers.Dial(0);
   options.factory1 = servers.Dial(1);
   options.hello_timeout = std::chrono::minutes(5);
@@ -365,25 +356,6 @@ TEST(SessionRetryTest, TrafficSinkAggregatesAcrossSessions) {
   EXPECT_GT(sink.bytes_received, 0u);
 }
 
-// --------------------------------------------------------- deprecations
-
-TEST(SessionRetryTest, DeprecatedPositionalEstablishStillWorks) {
-  TwoServers servers;
-  ASSERT_TRUE(servers.store.Publish("k", ToBytes("v")).ok());
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  servers.server0.ServeConnectionDetached(std::move(p0.b));
-  servers.server1.ServeConnectionDetached(std::move(p1.b));
-
-  auto session =
-      zltp::PirSession::Establish(std::move(p0.a), std::move(p1.a));
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  auto value = session->PrivateGet("k");
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(ToString(*value), "v");
-  session->Close();
-}
-
 // ------------------------------------------------------------- enclave
 
 TEST(SessionRetryTest, EnclaveSessionRedialsAndReseals) {
@@ -393,16 +365,12 @@ TEST(SessionRetryTest, EnclaveSessionRedialsAndReseals) {
   oram::MemoryStorage storage(oram::KvEnclave::RequiredStorageBuckets(config));
   oram::KvEnclave enclave(config, storage);
   ASSERT_TRUE(enclave.Put("wiki/Uganda", ToBytes("landlocked")).ok());
-  zltp::ZltpEnclaveServer server(enclave);
+  ReactorServing serving;
+  net::TransportFactory dial = ReactorServing::Dialer(
+      serving.Serve(serving.Make<zltp::ZltpEnclaveServer>(enclave)));
 
   FakeClock fake;
   auto dials = std::make_shared<std::atomic<int>>(0);
-  net::TransportFactory dial =
-      [&server]() -> Result<std::unique_ptr<net::Transport>> {
-    net::TransportPair p = net::CreateInMemoryPair();
-    server.ServeConnectionDetached(std::move(p.b));
-    return std::move(p.a);
-  };
 
   zltp::EstablishOptions options;
   options.factory0 =

@@ -1,6 +1,6 @@
 // ZLTP protocol tests: message codecs, the PirStore (single-node and
-// sharded), batching, and full client/server sessions over in-memory and
-// TCP transports in both modes of operation.
+// sharded), batching, and full client/server sessions served on the epoll
+// reactor over loopback TCP, in both modes of operation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include "oram/storage.h"
 #include "pir/packing.h"
 #include "pir/two_server.h"
+#include "reactor_serving.h"
 #include "util/clock.h"
 #include "util/rand.h"
 #include "zltp/batch.h"
@@ -23,6 +24,8 @@
 
 namespace lw::zltp {
 namespace {
+
+using testutil::ReactorServing;
 
 PirStoreConfig SmallStoreConfig(int domain_bits = 12,
                                 std::size_t record_size = 128,
@@ -531,25 +534,21 @@ class PirSessionTest : public ::testing::Test {
  protected:
   PirSessionTest()
       : store_(SmallStoreConfig()),
-        server0_(store_, 0),
-        server1_(store_, 1) {}
+        port0_(serving_.Serve(serving_.Make<ZltpPirServer>(store_, 0))),
+        port1_(serving_.Serve(serving_.Make<ZltpPirServer>(store_, 1))) {}
 
   // In the real system the two logical servers hold replicas in separate
   // trust domains; sharing one PirStore in-process is equivalent for
   // correctness tests.
   Result<PirSession> Connect() {
-    net::TransportPair p0 = net::CreateInMemoryPair();
-    net::TransportPair p1 = net::CreateInMemoryPair();
-    server0_.ServeConnectionDetached(std::move(p0.b));
-    server1_.ServeConnectionDetached(std::move(p1.b));
-    return PirSession::Establish(
-      EstablishOptions::FromTransports(
-      std::move(p0.a), std::move(p1.a)));
+    return PirSession::Establish(EstablishOptions::FromTransports(
+        ReactorServing::Connect(port0_), ReactorServing::Connect(port1_)));
   }
 
   PirStore store_;
-  ZltpPirServer server0_;
-  ZltpPirServer server1_;
+  ReactorServing serving_;  // after store_: the servers read it
+  std::uint16_t port0_;
+  std::uint16_t port1_;
 };
 
 TEST_F(PirSessionTest, EstablishNegotiatesParameters) {
@@ -632,14 +631,12 @@ TEST_F(PirSessionTest, PublishAfterConnectIsVisible) {
 
 TEST(PirSessionErrors, BothConnectionsSameRoleRejected) {
   PirStore store(SmallStoreConfig());
-  ZltpPirServer server0(store, 0);
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  server0.ServeConnectionDetached(std::move(p0.b));
-  server0.ServeConnectionDetached(std::move(p1.b));  // same role twice!
-  auto session = PirSession::Establish(
-      EstablishOptions::FromTransports(
-      std::move(p0.a), std::move(p1.a)));
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<ZltpPirServer>(store, 0));
+  auto session = PirSession::Establish(EstablishOptions::FromTransports(
+      ReactorServing::Connect(port0),
+      ReactorServing::Connect(port0)));  // same role twice!
   EXPECT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -647,28 +644,27 @@ TEST(PirSessionErrors, BothConnectionsSameRoleRejected) {
 TEST(PirSessionErrors, MismatchedUniversesRejected) {
   PirStore store_a(SmallStoreConfig(12, 128));
   PirStore store_b(SmallStoreConfig(14, 128));  // different domain
-  ZltpPirServer server0(store_a, 0);
-  ZltpPirServer server1(store_b, 1);
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  server0.ServeConnectionDetached(std::move(p0.b));
-  server1.ServeConnectionDetached(std::move(p1.b));
-  auto session = PirSession::Establish(
-      EstablishOptions::FromTransports(
-      std::move(p0.a), std::move(p1.a)));
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<ZltpPirServer>(store_a, 0));
+  const std::uint16_t port1 =
+      serving.Serve(serving.Make<ZltpPirServer>(store_b, 1));
+  auto session = PirSession::Establish(EstablishOptions::FromTransports(
+      ReactorServing::Connect(port0), ReactorServing::Connect(port1)));
   EXPECT_FALSE(session.ok());
 }
 
 TEST(PirSessionErrors, ServerRejectsUnsupportedMode) {
   PirStore store(SmallStoreConfig());
-  ZltpPirServer server(store, 0);
-  net::TransportPair p = net::CreateInMemoryPair();
-  server.ServeConnectionDetached(std::move(p.b));
+  ReactorServing serving;
+  std::unique_ptr<net::Transport> client = ReactorServing::Connect(
+      serving.Serve(serving.Make<ZltpPirServer>(store, 0)));
+  ASSERT_NE(client, nullptr);
   // An enclave-only client hello.
   ClientHello hello;
   hello.supported_modes = {Mode::kEnclave};
-  ASSERT_TRUE(p.a->Send(Encode(hello)).ok());
-  auto reply = p.a->Receive();
+  ASSERT_TRUE(client->Send(Encode(hello), net::Deadline::Infinite()).ok());
+  auto reply = client->Receive(net::Deadline::Infinite());
   ASSERT_TRUE(reply.ok());
   auto error = DecodeError(*reply);
   ASSERT_TRUE(error.ok());
@@ -685,11 +681,12 @@ TEST(EnclaveSessionTest, EndToEnd) {
   oram::KvEnclave enclave(config, storage);
   ASSERT_TRUE(enclave.Put("wiki/Uganda", ToBytes("landlocked country")).ok());
 
-  ZltpEnclaveServer server(enclave);
-  net::TransportPair p = net::CreateInMemoryPair();
-  server.ServeConnectionDetached(std::move(p.b));
+  ReactorServing serving;
+  const std::uint16_t port =
+      serving.Serve(serving.Make<ZltpEnclaveServer>(enclave));
 
-  auto session = EnclaveSession::Establish(EstablishOptions::FromTransports(std::move(p.a)));
+  auto session = EnclaveSession::Establish(
+      EstablishOptions::FromTransports(ReactorServing::Connect(port)));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   auto value = session->PrivateGet("wiki/Uganda");
   ASSERT_TRUE(value.ok()) << value.status().ToString();
@@ -760,15 +757,14 @@ TEST(PirBatchCoBatching, PipelinedRequestsShareServerScans) {
   BatchConfig batch_config;
   batch_config.max_batch = 16;
   batch_config.max_wait = std::chrono::milliseconds(50);
-  ZltpPirServer server0(store, 0, batch_config);
-  ZltpPirServer server1(store, 1, batch_config);
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  server0.ServeConnectionDetached(std::move(p0.b));
-  server1.ServeConnectionDetached(std::move(p1.b));
-  auto session = PirSession::Establish(
-      EstablishOptions::FromTransports(
-      std::move(p0.a), std::move(p1.a)));
+  ReactorServing serving;
+  ZltpPirServer& server0 =
+      serving.Make<ZltpPirServer>(store, 0, ServerOptions{batch_config});
+  const std::uint16_t port0 = serving.Serve(server0);
+  const std::uint16_t port1 = serving.Serve(
+      serving.Make<ZltpPirServer>(store, 1, ServerOptions{batch_config}));
+  auto session = PirSession::Establish(EstablishOptions::FromTransports(
+      ReactorServing::Connect(port0), ReactorServing::Connect(port1)));
   ASSERT_TRUE(session.ok());
 
   std::vector<std::string> keys;
@@ -801,15 +797,13 @@ TEST(PirThreaded, RoundTripThroughWorkerPool) {
   for (const int threads : {2, 3}) {
     ServerOptions options;
     options.num_threads = threads;
-    ZltpPirServer server0(store, 0, options);
-    ZltpPirServer server1(store, 1, options);
-    net::TransportPair p0 = net::CreateInMemoryPair();
-    net::TransportPair p1 = net::CreateInMemoryPair();
-    server0.ServeConnectionDetached(std::move(p0.b));
-    server1.ServeConnectionDetached(std::move(p1.b));
-    auto session = PirSession::Establish(
-      EstablishOptions::FromTransports(
-      std::move(p0.a), std::move(p1.a)));
+    ReactorServing serving;
+    const std::uint16_t port0 =
+        serving.Serve(serving.Make<ZltpPirServer>(store, 0, options));
+    const std::uint16_t port1 =
+        serving.Serve(serving.Make<ZltpPirServer>(store, 1, options));
+    auto session = PirSession::Establish(EstablishOptions::FromTransports(
+        ReactorServing::Connect(port0), ReactorServing::Connect(port1)));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (const auto& key : published) {
       auto value = session->PrivateGet(key);
@@ -828,30 +822,18 @@ TEST(PirThreaded, RoundTripThroughWorkerPool) {
 TEST(TcpSessionTest, PirOverRealSockets) {
   PirStore store(SmallStoreConfig());
   ASSERT_TRUE(store.Publish("tcp-page", ToBytes("over the wire")).ok());
-  ZltpPirServer server0(store, 0);
-  ZltpPirServer server1(store, 1);
+  ReactorServing serving;
+  const std::uint16_t port0 =
+      serving.Serve(serving.Make<ZltpPirServer>(store, 0));
+  const std::uint16_t port1 =
+      serving.Serve(serving.Make<ZltpPirServer>(store, 1));
 
-  auto l0 = net::TcpListener::Listen(0);
-  auto l1 = net::TcpListener::Listen(0);
-  ASSERT_TRUE(l0.ok() && l1.ok());
-
-  std::thread acceptor([&] {
-    auto c0 = l0->Accept();
-    ASSERT_TRUE(c0.ok());
-    server0.ServeConnectionDetached(std::move(*c0));
-    auto c1 = l1->Accept();
-    ASSERT_TRUE(c1.ok());
-    server1.ServeConnectionDetached(std::move(*c1));
-  });
-
-  auto t0 = net::TcpConnect("127.0.0.1", l0->bound_port());
-  auto t1 = net::TcpConnect("127.0.0.1", l1->bound_port());
+  auto t0 = net::TcpConnect("127.0.0.1", port0);
+  auto t1 = net::TcpConnect("127.0.0.1", port1);
   ASSERT_TRUE(t0.ok() && t1.ok());
-  acceptor.join();
 
   auto session = PirSession::Establish(
-      EstablishOptions::FromTransports(
-      std::move(*t0), std::move(*t1)));
+      EstablishOptions::FromTransports(std::move(*t0), std::move(*t1)));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(ToString(session->PrivateGet("tcp-page").value()),
             "over the wire");

@@ -14,7 +14,6 @@
 //
 // Usage:
 //   lightweb_serve <base_port> [--snapshot state.json]
-//                  [--serve-mode=reactor|threaded]
 //                  [--metrics-port=N] [--metrics-dump=PATH]
 //                  [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]
 //                  [--deadline-ms=N] [--serial-batches] [--threads=N]
@@ -25,12 +24,8 @@
 // files, and the final universe (snapshot + newly loaded sites) is written
 // back — simple persistence across restarts.
 //
-// Serving model (docs/ARCHITECTURE.md):
-//   --serve-mode=reactor   one epoll loop multiplexes all four endpoints;
-//                          complete frames hand off to the batch scheduler
-//                          (default)
-//   --serve-mode=threaded  one blocking thread per connection (the A/B
-//                          baseline the reactor is benchmarked against)
+// One epoll loop multiplexes all four endpoints; complete frames hand off
+// to each endpoint's batch scheduler (docs/ARCHITECTURE.md).
 //
 // Batching / data-plane knobs (docs/PERFORMANCE.md):
 //   --max-batch=N     queries fused per scan pass (default 16)
@@ -137,18 +132,6 @@ bool LoadSite(lightweb::Universe& universe, const std::string& path) {
   return true;
 }
 
-// Accept loop: every connection gets a detached server thread.
-void AcceptLoop(net::TcpListener listener, zltp::ZltpPirServer& server,
-                const char* label) {
-  std::printf("listening on 127.0.0.1:%u (%s)\n", listener.bound_port(),
-              label);
-  for (;;) {
-    auto conn = listener.Accept();
-    if (!conn.ok()) return;
-    server.ServeConnectionDetached(std::move(*conn));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -167,7 +150,6 @@ int main(int argc, char** argv) {
   std::string snapshot_path;
   std::string metrics_dump_path;
   int metrics_port = -1;  // -1 = disabled; 0 = ephemeral port
-  bool use_reactor = true;
   zltp::ServerOptions server_options;
   std::vector<std::string> site_files;
   for (int i = 2; i < argc; ++i) {
@@ -211,16 +193,6 @@ int main(int argc, char** argv) {
       }
       server_options.batch_config.deadline_budget =
           std::chrono::milliseconds(v);
-    } else if (arg.rfind("--serve-mode=", 0) == 0) {
-      const std::string mode = arg.substr(13);
-      if (mode == "reactor") {
-        use_reactor = true;
-      } else if (mode == "threaded") {
-        use_reactor = false;
-      } else {
-        std::fprintf(stderr, "bad --serve-mode (want reactor|threaded)\n");
-        return 2;
-      }
     } else if (arg == "--serial-batches") {
       server_options.batch_config.pipelined = false;
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -298,6 +270,9 @@ int main(int argc, char** argv) {
                 metrics_dump_path.c_str());
   }
 
+  // Declared before the servers: teardown is Stop() (Join returns after
+  // it), then the servers, then the reactor (zltp/server.h).
+  net::Reactor reactor;
   zltp::ZltpPirServer code0(universe.code_store(), 0, server_options);
   zltp::ZltpPirServer code1(universe.code_store(), 1, server_options);
   zltp::ZltpPirServer data0(universe.data_store(), 0, server_options);
@@ -311,41 +286,9 @@ int main(int argc, char** argv) {
                                  {&code1, "code role 1"},
                                  {&data0, "data role 0"},
                                  {&data1, "data role 1"}};
-  if (use_reactor) {
-    // One epoll loop owns all four listening sockets; each complete frame
-    // hands off to the endpoint server's batch scheduler, whose admission
-    // queue — not the kernel thread scheduler — decides what runs next.
-    net::Reactor reactor;
-    for (int i = 0; i < 4; ++i) {
-      auto listener =
-          net::TcpListener::Listen(static_cast<std::uint16_t>(base_port + i));
-      if (!listener.ok()) {
-        std::fprintf(stderr, "listen %d: %s\n", base_port + i,
-                     listener.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("listening on 127.0.0.1:%u (%s, reactor)\n",
-                  listener->bound_port(), endpoints[i].label);
-      const Status s =
-          endpoints[i].server->ServeOnReactor(reactor, std::move(*listener));
-      if (!s.ok()) {
-        std::fprintf(stderr, "serve %d: %s\n", base_port + i,
-                     s.ToString().c_str());
-        return 1;
-      }
-    }
-    if (const Status s = reactor.Start(); !s.ok()) {
-      std::fprintf(stderr, "reactor: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nbrowse with: lightweb_browse 127.0.0.1 %d "
-                "<domain/path>\n",
-                base_port);
-    reactor.Join();
-    return 0;
-  }
-
-  std::vector<std::thread> loops;
+  // One epoll loop owns all four listening sockets; each complete frame
+  // hands off to the endpoint server's batch scheduler, whose admission
+  // queue — not the kernel thread scheduler — decides what runs next.
   for (int i = 0; i < 4; ++i) {
     auto listener =
         net::TcpListener::Listen(static_cast<std::uint16_t>(base_port + i));
@@ -354,12 +297,22 @@ int main(int argc, char** argv) {
                    listener.status().ToString().c_str());
       return 1;
     }
-    loops.emplace_back(AcceptLoop, std::move(*listener),
-                       std::ref(*endpoints[i].server), endpoints[i].label);
+    std::printf("listening on 127.0.0.1:%u (%s)\n", listener->bound_port(),
+                endpoints[i].label);
+    const Status s =
+        endpoints[i].server->ServeOnReactor(reactor, std::move(*listener));
+    if (!s.ok()) {
+      std::fprintf(stderr, "serve %d: %s\n", base_port + i,
+                   s.ToString().c_str());
+      return 1;
+    }
   }
-  std::printf("\nbrowse with: lightweb_browse 127.0.0.1 %d "
-              "<domain/path>\n",
+  if (const Status s = reactor.Start(); !s.ok()) {
+    std::fprintf(stderr, "reactor: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  std::printf("\nbrowse with: lightweb_browse 127.0.0.1 %d <domain/path>\n",
               base_port);
-  for (auto& t : loops) t.join();
+  reactor.Join();
   return 0;
 }

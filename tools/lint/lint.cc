@@ -649,7 +649,7 @@ void Linter::CheckBlockingInReactor() {
   // connection, so a single blocking accept/recv/send there stalls all of
   // them. Accepts must be accept4(..., SOCK_NONBLOCK); recv/send must pass
   // MSG_DONTWAIT (or run on descriptors a dedicated thread owns — the
-  // thread-per-connection A/B path in tcp.cc, which carries allow hatches
+  // client-side TcpTransport in tcp.cc, which carries allow hatches
   // because blocking is its design). See docs/ARCHITECTURE.md.
   for (size_t i = 0; i < t_.size(); ++i) {
     if (t_[i].pp) continue;
@@ -673,7 +673,7 @@ void Linter::CheckBlockingInReactor() {
       Report(t_[i].line, kBlockingInReactor,
              "blocking accept() in reactor-owned code stalls every "
              "connection the loop serves; use accept4(..., SOCK_NONBLOCK) "
-             "on an epoll-registered listener (threaded A/B path: justify "
+             "on an epoll-registered listener (client-side blocking path: justify "
              "with an allow) — see docs/ARCHITECTURE.md");
       continue;
     }
@@ -697,7 +697,7 @@ void Linter::CheckBlockingInReactor() {
              "blocking connect() in reactor-owned code stalls every "
              "connection the loop serves for a full handshake; start the "
              "dial non-blocking (SOCK_NONBLOCK, EINPROGRESS) and finish it "
-             "via EPOLLOUT + SO_ERROR (threaded A/B path: justify with an "
+             "via EPOLLOUT + SO_ERROR (client-side blocking path: justify with an "
              "allow) — see docs/ARCHITECTURE.md");
       continue;
     }
@@ -716,7 +716,7 @@ void Linter::CheckBlockingInReactor() {
            std::string("blocking ") + (is_recv ? "recv()" : "send()") +
                " in reactor-owned code stalls every connection the loop "
                "serves; pass MSG_DONTWAIT and resume via the connection's "
-               "frame queue on EAGAIN (threaded A/B path: justify with an "
+               "frame queue on EAGAIN (client-side blocking path: justify with an "
                "allow) — see docs/ARCHITECTURE.md");
   }
 }

@@ -53,8 +53,8 @@
 //                    epoll reactor's loop thread owns every connection
 //                    there, so kernel blocking stalls all of them — use
 //                    accept4(SOCK_NONBLOCK) and MSG_DONTWAIT. The
-//                    thread-per-connection A/B path (tcp.cc) blocks by
-//                    design and carries allow hatches.
+//                    client-side TcpTransport (tcp.cc) blocks by design
+//                    and carries allow hatches.
 //   stale-allow      an allow/allowfile annotation that suppressed nothing;
 //                    dead escape hatches hide real regressions, so they are
 //                    findings themselves.

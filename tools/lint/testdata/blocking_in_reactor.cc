@@ -47,7 +47,7 @@ ssize_t MethodCallsAreFine(FramedSock& sock, char* buf) {
 }
 
 ssize_t AllowedBlockingRecv(int fd, char* buf) {
-  // The thread-per-connection A/B path blocks by design.
+  // The client-side transport blocks by design.
   // lwlint: allow(blocking-in-reactor)
   return recv(fd, buf, 16, 0);
 }
@@ -69,7 +69,7 @@ int BadBlockingConnect(int fd, const sockaddr* addr) {
 }
 
 int AllowedBlockingConnect(int fd, const sockaddr* addr) {
-  // The thread-per-connection A/B dial path blocks by design.
+  // The client-side dial path blocks by design.
   // lwlint: allow(blocking-in-reactor)
   return connect(fd, addr, 16);
 }
