@@ -7,12 +7,14 @@
 // ephemeral TCP ports, connects closed-loop clients (each issues its next
 // private GET the moment the previous one completes — the standard
 // saturation harness shape), and sweeps the batch close deadline
-// (--max-wait) crossed with pipelined vs serial scheduling, reporting
+// (--max-wait), reporting
 //
 //   req/s sustained, p50/p95/p99 request latency, mean batch occupancy
 //
 // per scenario into BENCH_throughput.json so CI can track the trajectory
-// (tools/bench/compare_bench.py fails on >15% req/s regressions).
+// (tools/bench/compare_bench.py fails on >15% req/s regressions). The
+// JSON config records the host's core count and CPU model, and the compare
+// tool refuses to set runs from different hosts side by side.
 //
 // Every scenario serves on the epoll reactor (docs/ARCHITECTURE.md),
 // including a high-connection scenario (default 1024 concurrent
@@ -31,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,8 +41,10 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include "bench_util.h"
+#include "json/json.h"
 #include "net/faulty.h"
 #include "net/reactor.h"
 #include "net/tcp.h"
@@ -71,7 +76,6 @@ struct ThroughputParams {
 
 struct Scenario {
   std::string name;
-  bool pipelined = true;
   std::chrono::milliseconds max_wait{2};
   // Per-scenario overrides (0 = take the ThroughputParams value). The
   // high-connection scenario trades requests-per-client for client count
@@ -239,7 +243,6 @@ ScenarioResult RunScenario(const zltp::PirStore& store,
   zltp::ServerOptions options;
   options.batch_config.max_batch = 16;
   options.batch_config.max_wait = scenario.max_wait;
-  options.batch_config.pipelined = scenario.pipelined;
   options.num_threads = params.threads;
   // Declared before the servers: batch completion callbacks hold a reactor
   // reference, so the servers must go first (after Stop()).
@@ -373,6 +376,20 @@ ScenarioResult RunFrontendScenario(const ThroughputParams& base_params,
   return FillResult(scenario, load);
 }
 
+// The host's CPU model ("model name" in /proc/cpuinfo), or "" if unknown.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "";
+}
+
 bool WriteJson(const std::string& path, const ThroughputParams& params,
                bool smoke, const std::vector<ScenarioResult>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -384,10 +401,12 @@ bool WriteJson(const std::string& path, const ThroughputParams& params,
       f,
       "{\n  \"config\": {\"domain_bits\": %d, \"record_size\": %zu, "
       "\"clients\": %d, \"requests_per_client\": %d, \"threads\": %d, "
-      "\"smoke\": %s, \"xor_tier\": \"%s\", "
-      "\"hugepage_advised_bytes\": %llu},\n",
+      "\"smoke\": %s, \"nproc\": %ld, \"cpu_model\": %s, "
+      "\"xor_tier\": \"%s\", \"hugepage_advised_bytes\": %llu},\n",
       params.domain_bits, params.record_size, params.clients,
       params.requests_per_client, params.threads, smoke ? "true" : "false",
+      sysconf(_SC_NPROCESSORS_ONLN),
+      json::Write(json::Value(CpuModel())).c_str(),
       pir::XorTierName(pir::ActiveXorTier()),
       static_cast<unsigned long long>(HugepageAdvisedBytes()));
   std::fprintf(f, "  \"throughput\": [\n");
@@ -399,12 +418,12 @@ bool WriteJson(const std::string& path, const ThroughputParams& params,
     std::fprintf(
         f,
         "    {\"name\": \"%s\", \"serve\": \"%s\", \"conns\": %d, "
-        "\"pipelined\": %s, \"max_wait_ms\": %lld, "
+        "\"max_wait_ms\": %lld, "
         "\"requests\": %llu, \"req_per_s\": %.3f, \"ns_per_op\": %.1f, "
         "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
         "\"avg_batch\": %.2f, \"batches\": %llu}%s\n",
         r.scenario.name.c_str(), ServeName(r.scenario),
-        conns, r.scenario.pipelined ? "true" : "false",
+        conns,
         static_cast<long long>(r.scenario.max_wait.count()),
         static_cast<unsigned long long>(r.completed), r.req_per_s,
         r.ns_per_op, r.p50_ms, r.p95_ms, r.p99_ms, r.avg_batch,
@@ -467,16 +486,12 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ≥2 batch-deadline settings, each in both scheduling modes: the deadline
-  // sweep shows the latency/throughput trade the co-rider window buys, the
-  // mode sweep shows what expand/scan overlap is worth at fixed deadline.
-  // Then the high-connection scenario only an event-driven server can
-  // realistically run.
+  // Two batch-deadline settings show the latency/throughput trade the
+  // co-rider window buys. Then the high-connection scenario only an
+  // event-driven server can realistically run.
   std::vector<Scenario> scenarios = {
-      {"pipelined/wait1ms", true, std::chrono::milliseconds(1)},
-      {"serial/wait1ms", false, std::chrono::milliseconds(1)},
-      {"pipelined/wait4ms", true, std::chrono::milliseconds(4)},
-      {"serial/wait4ms", false, std::chrono::milliseconds(4)},
+      {"wait1ms", std::chrono::milliseconds(1)},
+      {"wait4ms", std::chrono::milliseconds(4)},
   };
   {
     // Each client holds one connection per logical server. Per-client
@@ -484,7 +499,6 @@ int Main(int argc, char** argv) {
     // minutes of wall clock.
     Scenario high;
     high.name = "reactor/conns" + std::to_string(params.high_conns);
-    high.pipelined = true;
     high.max_wait = std::chrono::milliseconds(4);
     high.clients_override = std::max(1, params.high_conns / 2);
     high.requests_override = flags.smoke ? 2 : 4;

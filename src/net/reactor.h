@@ -20,7 +20,7 @@
 //                    queue and wakes the loop via an eventfd; the loop owns
 //                    the actual write() calls, including partial-write
 //                    resume under EAGAIN.
-//   compute threads  completion callbacks (batch scan workers, dispatcher
+//   compute threads  completion callbacks (batch workers, dispatcher
 //                    workers) call Send()/CloseAfterFlush() to queue
 //                    replies; they never touch the socket directly.
 //

@@ -208,7 +208,8 @@ Metrics& M() {
           "batches"),
       Registry::Default().AddCounter(
           "lw_batch_pipeline_stall_ns_total",
-          "scan-stage idle time waiting on DPF expansion", "ns"),
+          "retired, always 0: the expand/scan pipeline it timed is gone",
+          "ns"),
 
       Registry::Default().AddCounter(
           "lw_scan_rows_scanned_total",

@@ -208,8 +208,9 @@ struct Metrics {
   Counter& batch_full_closes;
   Counter& batch_deadline_closes;
   Counter& batch_wait_closes;
-  // Time the pipeline's scan stage sat idle waiting for an expanded batch
-  // (nonzero = expansion is the bottleneck, not the data pass).
+  // Retired: nothing increments it since the expand/scan pipeline was
+  // deleted, so it reads 0. Kept only because the benchmark harness
+  // still reads it; drop it once that read is gone.
   Counter& batch_pipeline_stall_ns;
 
   // Blob-database scans. ns/record = busy_ns / rows_scanned; average

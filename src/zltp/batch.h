@@ -1,4 +1,4 @@
-// Pipelined, admission-controlled request batching for ZLTP PIR servers.
+// Admission-controlled request batching for ZLTP PIR servers.
 //
 // The dominant per-request cost is the linear scan over stored records;
 // batching B requests lets the server make ONE pass over the data per batch,
@@ -6,19 +6,10 @@
 // increase throughput": batch 16 → 2.6 s latency / 6 req/s vs batch 1 →
 // 0.51 s / 2 req/s on their shard).
 //
-// This scheduler pushes that design to production shape:
-//
-//  Pipeline.  A batch's work is two stages — DPF expansion (pure compute,
-//  no store lock: PirStore::ExpandBatch) and the fused record scan
-//  (PirStore::ScanBatch). In pipelined mode an expand worker and a scan
-//  worker run them on different batches concurrently: while batch N is
-//  scanning, batch N+1 is already expanding, handed off through a bounded
-//  (double-buffered) staging queue so expanded selection vectors for at
-//  most kPipelineDepth batches exist at once. When expansion keeps up, the
-//  scan stage — the part whose duty cycle bounds server throughput — never
-//  idles; the lw_batch_pipeline_stall_ns_total counter records when it
-//  does. Serial mode (pipelined=false) runs both stages on one thread,
-//  kept for A/B measurement and output-equivalence tests.
+//  One batch worker.  A single thread forms each batch under the close rule
+//  below and answers it with one PirStore::AnswerBatch call — DPF expansion
+//  (no store lock) followed by the fused record scan (shared lock) — then
+//  fires the riders' callbacks.
 //
 //  Admission control.  Submit sheds load with RESOURCE_EXHAUSTED once
 //  queue_limit requests are already waiting — bounding queue wait instead
@@ -70,20 +61,12 @@ struct BatchConfig {
   // already past their deadline at formation fail DEADLINE_EXCEEDED.
   // 0 = disabled (batches close on max_batch/max_wait only).
   std::chrono::milliseconds deadline_budget{0};
-  // Overlap DPF expansion of batch N+1 with the scan of batch N.
-  bool pipelined = true;
   // Time source for the queue/deadline machinery. null = Clock::Real().
   Clock* clock = nullptr;
 };
 
 class BatchScheduler {
  public:
-  // Expanded batches staged between the pipeline's two workers: one being
-  // scanned plus one queued behind it (double buffering). Deeper staging
-  // would only add memory and queue wait, not throughput — the scan stage
-  // is the bottleneck it feeds.
-  static constexpr std::size_t kPipelineDepth = 2;
-
   // `pool` (optional, not owned, must outlive the scheduler) parallelizes
   // each batch's DPF expansions and data scans across its workers.
   BatchScheduler(const PirStore& store, BatchConfig config,
@@ -95,15 +78,15 @@ class BatchScheduler {
 
   // Completion callback for SubmitAsync: invoked exactly once with the
   // record share (or the failure) and the batch-level expand/scan timings
-  // (every co-rider of a batch is credited the full fused pass). Runs on a
-  // scheduler worker thread — the scan worker for answered requests, the
-  // submitting or stopping thread for rejections — so it must be quick and
-  // must not block on the scheduler itself.
+  // (every co-rider of a batch is credited the full fused pass). Runs on
+  // the batch worker for formed batches and on the submitting or stopping
+  // thread for rejections, so it must be quick and must not block on the
+  // scheduler itself.
   using SubmitCallback =
       std::function<void(Result<Bytes>, const obs::StageTimings&)>;
 
   // Queues one query and returns immediately; `done` fires when its batch
-  // has been scanned (or the request failed admission: UNAVAILABLE after
+  // has been answered (or the request failed admission: UNAVAILABLE after
   // Stop(), RESOURCE_EXHAUSTED when shed, DEADLINE_EXCEEDED when the
   // deadline budget expired before its batch formed). This is how the
   // event-driven serve path rides the batcher without parking a thread per
@@ -115,7 +98,7 @@ class BatchScheduler {
   // the callback and returns the record share.
   Result<Bytes> Submit(dpf::DpfKey key);
 
-  // Drains queued and in-flight batches, then joins both workers
+  // Drains queued and in-flight batches, then joins the worker
   // (idempotent; dtor calls it). Every callback outstanding at the time of
   // the call fires — answered if its batch was already formed or formable
   // from the queue, UNAVAILABLE otherwise.
@@ -149,28 +132,13 @@ class BatchScheduler {
     std::chrono::nanoseconds deadline{};  // enqueued + budget, or ns::max()
   };
 
-  // A formed batch after stage 1 (expansion), queued for stage 2 (scan).
-  struct StagedBatch {
-    std::vector<Pending> riders;
-    PirStore::ExpandedBatch expanded;
-    Status expand_status = Status::Ok();
-    obs::StageTimings stages;  // expand_ns filled by stage 1
-    // Instrumentation stamp of batch formation: the earliest instant the
-    // scan could have started had expansion been free (stall accounting).
-    std::chrono::steady_clock::time_point formed_at{};
-  };
-
-  void ExpandLoop();
-  void ScanLoop();
+  void WorkerLoop();
   // Forms one batch under mu_ (waiting out the close rule), or returns
   // false when stopping with an empty queue. Expired riders are failed
   // inside.
   bool FormBatch(std::vector<Pending>& batch);
-  // Stage 1 for a formed batch: expand and stage (pipelined) or expand and
-  // scan inline (serial).
-  void ExpandAndDispatch(std::vector<Pending> batch);
-  // Stage 2: scan, update the EWMA, fan out timings, fulfill promises.
-  void ScanAndFulfill(StagedBatch staged);
+  // Answers a formed batch, updates the EWMA and fires every callback.
+  void RunBatch(std::vector<Pending> batch);
 
   const PirStore& store_;
   BatchConfig config_;
@@ -186,13 +154,7 @@ class BatchScheduler {
   // how long a batch started now will take to answer. 0 until first batch.
   std::uint64_t scan_estimate_ns_ = 0;
 
-  std::mutex staged_mu_;  // pipeline handoff (pipelined mode only)
-  std::condition_variable staged_cv_;
-  std::deque<StagedBatch> staged_;
-  bool scan_stop_ = false;
-
-  std::thread expand_worker_;
-  std::thread scan_worker_;  // pipelined mode only
+  std::thread worker_;
 };
 
 }  // namespace lw::zltp

@@ -118,7 +118,7 @@ Status ZltpPirServer::ServeOnReactor(net::Reactor& reactor,
     }
     const std::uint64_t decode_ns = obs::ElapsedNs(req_start);
     // The admission queue is the scheduler: no per-request thread exists.
-    // The scan worker runs this callback and queues the reply; reply_ns
+    // The batch worker runs this callback and queues the reply; reply_ns
     // covers the enqueue (the loop owns the socket write).
     batcher_.SubmitAsync(
         std::move(*key),

@@ -133,55 +133,39 @@ Result<Bytes> PirStore::AnswerQuery(const dpf::DpfKey& key,
 
 Result<std::vector<Bytes>> PirStore::AnswerBatch(
     const std::vector<dpf::DpfKey>& keys, ThreadPool* pool) const {
-  LW_ASSIGN_OR_RETURN(const ExpandedBatch expanded, ExpandBatch(keys, pool));
-  return ScanBatch(expanded, pool);
-}
-
-Result<PirStore::ExpandedBatch> PirStore::ExpandBatch(
-    const std::vector<dpf::DpfKey>& keys, ThreadPool* pool) const {
   for (const dpf::DpfKey& k : keys) {
     if (k.domain_bits != config_.domain_bits) {
       return ProtocolError("DPF domain does not match universe domain");
     }
   }
-  // No store lock: expansion reads only the keys and the immutable domain
-  // geometry, which is what lets the pipelined scheduler expand batch N+1
-  // while batch N is still scanning under the shared lock.
+  // Expansion reads only the keys and the immutable domain geometry, so it
+  // runs before the shared lock is taken; publishes wait only for the scan.
+  // shard_bits[s][q]: query q's selection bits over shard s's sub-domain.
   const auto t0 = obs::TraceNow();
-  ExpandedBatch out;
-  out.query_count = keys.size();
-  out.shard_bits.resize(shards_.size());
-  for (auto& per_shard : out.shard_bits) per_shard.resize(keys.size());
+  std::vector<std::vector<dpf::BitVector>> shard_bits(
+      shards_.size(), std::vector<dpf::BitVector>(keys.size()));
   for (std::size_t q = 0; q < keys.size(); ++q) {
     if (shards_.size() == 1) {
-      out.shard_bits[0][q] = dpf::EvalFullParallel(keys[q], pool);
+      shard_bits[0][q] = dpf::EvalFullParallel(keys[q], pool);
     } else {
       // §5.2: expand the top of the tree once, then each shard's sub-tree.
       const auto subkeys =
           dpf::SplitForShards(keys[q], config_.shard_top_bits);
       for (std::size_t s = 0; s < shards_.size(); ++s) {
-        out.shard_bits[s][q] = dpf::EvalSubtreeParallel(subkeys[s], pool);
+        shard_bits[s][q] = dpf::EvalSubtreeParallel(subkeys[s], pool);
       }
     }
   }
   const std::uint64_t expand_ns = obs::ElapsedNs(t0);
   obs::M().dpf_expand_ns.Observe(expand_ns);
   obs::AddExpandNs(expand_ns);
-  return out;
-}
 
-Result<std::vector<Bytes>> PirStore::ScanBatch(const ExpandedBatch& expanded,
-                                               ThreadPool* pool) const {
-  if (expanded.shard_bits.size() != shards_.size()) {
-    return InternalError("expanded batch shard count mismatch");
-  }
   std::shared_lock lock(mu_);
-  std::vector<Bytes> out(expanded.query_count,
-                         Bytes(config_.record_size, 0));
+  std::vector<Bytes> out(keys.size(), Bytes(config_.record_size, 0));
   std::vector<Bytes> shard_answers;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->AnswerBatch(expanded.shard_bits[s], shard_answers, pool);
-    for (std::size_t q = 0; q < expanded.query_count; ++q) {
+    shards_[s]->AnswerBatch(shard_bits[s], shard_answers, pool);
+    for (std::size_t q = 0; q < keys.size(); ++q) {
       XorInto(out[q], shard_answers[q]);
     }
   }

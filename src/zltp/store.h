@@ -62,30 +62,12 @@ class PirStore {
   Result<Bytes> AnswerQuery(const dpf::DpfKey& key,
                             ThreadPool* pool = nullptr) const;
 
-  // Answers a batch with one fused pass over each shard's data.
-  // Equivalent to ExpandBatch followed by ScanBatch.
+  // Answers a batch with one fused pass over each shard's data: every
+  // key's DPF is expanded first (full-domain, or per-shard sub-trees when
+  // sharded) without the store lock, then each shard's records are scanned
+  // once under the shared lock, XOR-combining shard answers per query.
   Result<std::vector<Bytes>> AnswerBatch(const std::vector<dpf::DpfKey>& keys,
                                          ThreadPool* pool = nullptr) const;
-
-  // A batch's DPF expansion, decoupled from its data scan so a pipelined
-  // scheduler can overlap stage 1 of batch N+1 with stage 2 of batch N
-  // (zltp::BatchScheduler's two-stage pipeline).
-  struct ExpandedBatch {
-    // shard_bits[s][q]: query q's selection bits over shard s's sub-domain.
-    std::vector<std::vector<dpf::BitVector>> shard_bits;
-    std::size_t query_count = 0;
-  };
-
-  // Stage 1: evaluates every key's DPF (full-domain, or per-shard sub-trees
-  // when sharded). Pure compute over immutable config — takes no store
-  // lock, so it runs concurrently with a ScanBatch of another batch.
-  Result<ExpandedBatch> ExpandBatch(const std::vector<dpf::DpfKey>& keys,
-                                    ThreadPool* pool = nullptr) const;
-
-  // Stage 2: one fused pass over each shard's records under the shared
-  // lock, XOR-combining shard answers per query.
-  Result<std::vector<Bytes>> ScanBatch(const ExpandedBatch& expanded,
-                                       ThreadPool* pool = nullptr) const;
 
   // Non-private direct read (publisher tooling / tests).
   Result<Bytes> DirectLookup(std::string_view key) const;

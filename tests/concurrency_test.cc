@@ -188,13 +188,12 @@ TEST(Concurrency, PipelinedBatchesFromParallelClients) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Concurrency, PipelinedExpandScanOverlapIsRaceFree) {
-  // Drives the two-stage batch pipeline hard enough that expansion of batch
-  // N+1 genuinely overlaps the scan of batch N (tiny co-rider window, more
-  // clients than max_batch), with a sharded store and a shared ThreadPool so
-  // both stages fan work out to the same workers, plus a stats() poller on
-  // the side. Exists to fail under TSan if the staging handoff, the EWMA
-  // update, or the stats snapshot ever race.
+TEST(Concurrency, BatchSchedulerUnderParallelClientsIsRaceFree) {
+  // Drives the batch worker with more clients than max_batch and a tiny
+  // co-rider window, so submissions race batch formation, over a sharded
+  // store and a ThreadPool that fans each batch's expansion and scan out,
+  // plus a stats() poller on the side. Exists to fail under TSan if the
+  // admission queue, the EWMA update, or the stats snapshot ever race.
   zltp::PirStoreConfig config = StoreConfig();
   config.shard_top_bits = 2;
   zltp::PirStore store(config);
@@ -205,7 +204,6 @@ TEST(Concurrency, PipelinedExpandScanOverlapIsRaceFree) {
   zltp::BatchConfig batch_config;
   batch_config.max_batch = 4;
   batch_config.max_wait = std::chrono::milliseconds(1);
-  batch_config.pipelined = true;
   zltp::BatchScheduler batcher(store, batch_config, &pool);
 
   std::atomic<bool> stop_polling{false};

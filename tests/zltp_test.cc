@@ -488,46 +488,6 @@ TEST(BatchScheduler, StopAnswersEveryInFlightRequest) {
   EXPECT_EQ(batcher.stats().requests, static_cast<std::uint64_t>(kClients));
 }
 
-TEST(BatchScheduler, PipelinedAndSerialProduceIdenticalAnswers) {
-  PirStore store(SmallStoreConfig(12, 128, /*shard_top_bits=*/2));
-  for (int i = 0; i < 32; ++i) {
-    (void)store.Publish("k" + std::to_string(i), ToBytes("v"));
-  }
-  constexpr int kQueries = 24;
-  std::vector<pir::QueryKeys> queries;
-  std::vector<Bytes> expected;
-  Rng rng(3);
-  for (int i = 0; i < kQueries; ++i) {
-    queries.push_back(pir::MakeIndexQuery(rng.UniformInt(1 << 12),
-                                          store.domain_bits()));
-    expected.push_back(store.AnswerQuery(queries.back().key0).value());
-  }
-
-  for (const bool pipelined : {true, false}) {
-    BatchConfig config;
-    config.max_batch = 4;
-    config.max_wait = std::chrono::milliseconds(5);
-    config.pipelined = pipelined;
-    BatchScheduler batcher(store, config);
-    std::vector<Bytes> answers(kQueries);
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kQueries; ++i) {
-      threads.emplace_back([&, i] {
-        auto answer = batcher.Submit(queries[i].key0);
-        if (answer.ok()) {
-          answers[i] = std::move(*answer);
-        } else {
-          ++failures;
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(failures.load(), 0) << "pipelined=" << pipelined;
-    EXPECT_EQ(answers, expected) << "pipelined=" << pipelined;
-  }
-}
-
 // --------------------------------------------- end-to-end PIR sessions
 
 class PirSessionTest : public ::testing::Test {
@@ -778,6 +738,45 @@ TEST(PirBatchCoBatching, PipelinedRequestsShareServerScans) {
   EXPECT_EQ(stats.requests, 8u);
   EXPECT_LT(stats.batches, 8u);
   EXPECT_GT(stats.average_batch_size(), 1.5);
+  session->Close();
+}
+
+TEST(PirBatchCoBatching, PageLargerThanMaxBatchSpansBatches) {
+  // One connection's pipelined page outgrows max_batch, so the server must
+  // split it across batches and still route every answer to its request.
+  PirStore store(SmallStoreConfig());
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+  for (int i = 0; keys.size() < 7; ++i) {
+    const std::string key = "span/p" + std::to_string(i);
+    const std::string value = "value" + std::to_string(i);
+    if (store.Publish(key, ToBytes(value)).ok()) {
+      keys.push_back(key);
+      values.push_back(value);
+    }
+  }
+  BatchConfig batch_config;
+  batch_config.max_batch = 2;
+  batch_config.max_wait = std::chrono::milliseconds(20);
+  ReactorServing serving;
+  ZltpPirServer& server0 =
+      serving.Make<ZltpPirServer>(store, 0, ServerOptions{batch_config});
+  const std::uint16_t port0 = serving.Serve(server0);
+  const std::uint16_t port1 = serving.Serve(
+      serving.Make<ZltpPirServer>(store, 1, ServerOptions{batch_config}));
+  auto session = PirSession::Establish(EstablishOptions::FromTransports(
+      ReactorServing::Connect(port0), ReactorServing::Connect(port1)));
+  ASSERT_TRUE(session.ok());
+
+  auto batch = session->PrivateGetBatch(keys);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE((*batch)[i].ok()) << keys[i];
+    EXPECT_EQ(ToString((*batch)[i].value()), values[i]) << keys[i];
+  }
+  // 7 requests, at most 2 per batch.
+  EXPECT_GE(server0.batch_stats().batches, 4u);
   session->Close();
 }
 

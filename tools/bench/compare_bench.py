@@ -16,9 +16,10 @@ warnings so they annotate the PR even when the CI step is configured as
 non-blocking.
 
 CI keeps absolute numbers honest by always comparing like-for-like shapes:
-the baseline records its config (clients, domain, smoke) and a mismatch is
-a hard error — comparing an 8-client run against a 3-client baseline would
-make every number meaningless.
+the baseline records its config (clients, domain, smoke, and the host's
+nproc and CPU model) and a mismatch is a hard error — comparing an 8-client
+run against a 3-client baseline, or a 1-vCPU host against a 4-vCPU one,
+would make every number meaningless.
 """
 
 import argparse
@@ -44,10 +45,12 @@ def scenarios(doc, path):
     return {row["name"]: row for row in table}
 
 
-# Config keys that change what the numbers mean. xor_tier and hugepages are
-# deliberately absent: they vary by host and are part of what we measure.
+# Config keys that change what the numbers mean, including the host's core
+# count and CPU model: req/s from a 1-vCPU runner says nothing about a
+# 4-vCPU one. xor_tier and hugepages are deliberately absent: they follow
+# from the host and are part of what we measure.
 SHAPE_KEYS = ("domain_bits", "record_size", "clients",
-              "requests_per_client", "smoke")
+              "requests_per_client", "smoke", "nproc", "cpu_model")
 
 
 def main():

@@ -16,23 +16,24 @@
 //   lightweb_serve <base_port> [--snapshot state.json]
 //                  [--metrics-port=N] [--metrics-dump=PATH]
 //                  [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]
-//                  [--deadline-ms=N] [--serial-batches] [--threads=N]
+//                  [--deadline-ms=N] [--threads=N]
 //                  [--scan-kernel=auto|scalar|avx2|avx512] [--no-hugepages]
 //                  <site.json> ...
 //
 // With --snapshot, an existing snapshot file is loaded before any site
 // files, and the final universe (snapshot + newly loaded sites) is written
-// back — simple persistence across restarts.
+// back — simple persistence across restarts. Any other argument starting
+// with "--" that is not listed here exits 2 with a usage line.
 //
 // One epoll loop multiplexes all four endpoints; complete frames hand off
-// to each endpoint's batch scheduler (docs/ARCHITECTURE.md).
+// to each endpoint's batch scheduler, whose single worker answers each
+// batch with one fused scan (docs/ARCHITECTURE.md).
 //
 // Batching / data-plane knobs (docs/PERFORMANCE.md):
 //   --max-batch=N     queries fused per scan pass (default 16)
 //   --max-wait-ms=N   co-rider window after a batch's first query
 //   --queue-limit=N   shed RESOURCE_EXHAUSTED beyond N queued queries
 //   --deadline-ms=N   per-request deadline budget driving early batch close
-//   --serial-batches  disable the expand/scan pipeline overlap (A/B knob)
 //   --threads=N       per-request compute threads (0 = hardware)
 //   --scan-kernel=K   pin the XOR kernel tier (default runtime-detected)
 //   --no-hugepages    skip madvise(MADV_HUGEPAGE) on record arenas
@@ -50,9 +51,10 @@
 //     "code": { "site": "...", "routes": [ ... LightScript ... ] },
 //     "data": { "planet.example/data/x.json": { ...blob json... }, ... }
 //   }
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,16 +134,32 @@ bool LoadSite(lightweb::Universe& universe, const std::string& path) {
   return true;
 }
 
+// A numeric flag value: a whole decimal number >= 0, or -1 for anything
+// else (empty, a sign, trailing characters, overflow), which every caller
+// rejects. std::atoi would read "4ms" as 4 and "abc" as 0.
+int ParseCount(const char* text) {
+  const char* end = text + std::strlen(text);
+  int v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  return ec == std::errc() && ptr == end && v >= 0 ? v : -1;
+}
+
+constexpr const char kUsage[] =
+    "usage: lightweb_serve <base_port> [--snapshot state.json]\n"
+    "         [--metrics-port=N] [--metrics-dump=PATH]\n"
+    "         [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]\n"
+    "         [--deadline-ms=N] [--threads=N]\n"
+    "         [--scan-kernel=auto|scalar|avx2|avx512] [--no-hugepages]\n"
+    "         <site.json> [more-sites.json ...]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <base_port> <site.json> [more-sites.json ...]\n",
-                 argv[0]);
+    std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
-  const int base_port = std::atoi(argv[1]);
+  const int base_port = ParseCount(argv[1]);
   if (base_port <= 0 || base_port > 65531) {
     std::fprintf(stderr, "bad base port\n");
     return 2;
@@ -154,10 +172,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> site_files;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--snapshot" && i + 1 < argc) {
+    if (arg == "--snapshot") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "--snapshot needs a path\n");
+        return 2;
+      }
       snapshot_path = argv[++i];
     } else if (arg.rfind("--metrics-port=", 0) == 0) {
-      metrics_port = std::atoi(arg.c_str() + 15);
+      metrics_port = ParseCount(arg.c_str() + 15);
       if (metrics_port < 0 || metrics_port > 65535) {
         std::fprintf(stderr, "bad --metrics-port\n");
         return 2;
@@ -165,38 +187,41 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metrics-dump=", 0) == 0) {
       metrics_dump_path = arg.substr(15);
     } else if (arg.rfind("--max-batch=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 12);
+      const int v = ParseCount(arg.c_str() + 12);
       if (v < 1) {
         std::fprintf(stderr, "bad --max-batch (need >= 1)\n");
         return 2;
       }
       server_options.batch_config.max_batch = static_cast<std::size_t>(v);
     } else if (arg.rfind("--max-wait-ms=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 14);
+      const int v = ParseCount(arg.c_str() + 14);
       if (v < 0) {
         std::fprintf(stderr, "bad --max-wait-ms\n");
         return 2;
       }
       server_options.batch_config.max_wait = std::chrono::milliseconds(v);
     } else if (arg.rfind("--queue-limit=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 14);
+      const int v = ParseCount(arg.c_str() + 14);
       if (v < 0) {
         std::fprintf(stderr, "bad --queue-limit\n");
         return 2;
       }
       server_options.batch_config.queue_limit = static_cast<std::size_t>(v);
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 14);
+      const int v = ParseCount(arg.c_str() + 14);
       if (v < 0) {
         std::fprintf(stderr, "bad --deadline-ms\n");
         return 2;
       }
       server_options.batch_config.deadline_budget =
           std::chrono::milliseconds(v);
-    } else if (arg == "--serial-batches") {
-      server_options.batch_config.pipelined = false;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      server_options.num_threads = std::atoi(arg.c_str() + 10);
+      const int v = ParseCount(arg.c_str() + 10);
+      if (v < 0) {
+        std::fprintf(stderr, "bad --threads (need >= 0)\n");
+        return 2;
+      }
+      server_options.num_threads = v;
     } else if (arg.rfind("--scan-kernel=", 0) == 0) {
       if (!pir::SetXorTierByName(arg.c_str() + 14)) {
         std::fprintf(stderr,
@@ -206,6 +231,11 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--no-hugepages") {
       SetHugepagesEnabled(false);
+    } else if (arg.rfind("--", 0) == 0) {
+      // A typo must not be taken for a site path and fail later as an
+      // unreadable file.
+      std::fprintf(stderr, "unknown option %s\n%s", arg.c_str(), kUsage);
+      return 2;
     } else {
       site_files.emplace_back(arg);
     }
