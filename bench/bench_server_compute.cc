@@ -39,25 +39,7 @@ void BM_DpfFullEval(benchmark::State& state) {
   state.counters["leaves"] = static_cast<double>(std::uint64_t{1} << d);
 }
 BENCHMARK(BM_DpfFullEval)->Arg(16)->Arg(18)->Arg(20)->Arg(22)
-    ->Unit(benchmark::kMillisecond);
-
-// The same evaluation split across a pool: the top of the tree is expanded
-// once, then blocks of sub-trees expand on the workers (args: domain bits,
-// pool threads).
-void BM_DpfFullEvalParallel(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const dpf::KeyPair pair = dpf::Generate(123, d);
-  ThreadPool pool(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dpf::EvalFullParallel(pair.key0, &pool));
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["leaves"] = static_cast<double>(std::uint64_t{1} << d);
-}
-BENCHMARK(BM_DpfFullEvalParallel)
-    ->Args({18, 2})->Args({18, 4})->Args({22, 2})->Args({22, 4})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+    ->Unit(benchmark::kMicrosecond);
 
 // Data-scan cost vs stored bytes (the "103 ms" component).
 void BM_DataScan(benchmark::State& state) {

@@ -142,7 +142,8 @@ inline pir::BlobDatabase BuildShard(int domain_bits, std::size_t record_size,
 }
 
 // One private-GET worth of server work, timed in parts. A non-null `pool`
-// runs both components through the parallel paths the server uses.
+// runs the scan through the parallel path the server uses; the DPF
+// expansion runs on the caller, as in the server.
 struct RequestCost {
   double dpf_ms = 0;
   double scan_ms = 0;
@@ -157,7 +158,7 @@ inline RequestCost MeasureOneRequest(const pir::BlobDatabase& db,
 
   RequestCost cost;
   Stopwatch dpf_timer;
-  const dpf::BitVector bits = dpf::EvalFullParallel(q.key0, pool);
+  const dpf::BitVector bits = dpf::EvalFull(q.key0);
   cost.dpf_ms = dpf_timer.ElapsedMillis();
 
   Bytes answer(db.record_size());

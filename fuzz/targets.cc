@@ -85,16 +85,28 @@ int FuzzDpf(const std::uint8_t* data, std::size_t size) {
     LW_CHECK_MSG(key->Serialize() == original,
                  "DPF key re-serialization mismatch");
     // Deserialize validated domain_bits, so evaluation must be safe.
-    const std::uint8_t at_zero = dpf::EvalPoint(*key, 0);
-    if (key->domain_bits <= 12) {
+    (void)dpf::EvalPoint(*key, 0);
+    if (key->domain_bits <= 10) {
+      const std::uint64_t domain = std::uint64_t{1} << key->domain_bits;
       const dpf::BitVector bits = dpf::EvalFull(*key);
-      LW_CHECK_MSG(dpf::GetBit(bits, 0) == at_zero,
-                   "EvalFull disagrees with EvalPoint");
-      const int top = std::min<int>(2, key->domain_bits);
+      for (std::uint64_t x = 0; x < domain; ++x) {
+        LW_CHECK_MSG(dpf::GetBit(bits, x) == dpf::EvalPoint(*key, x),
+                     "EvalFull disagrees with EvalPoint");
+      }
+      // The last input byte picks the split, so splits past the tree's
+      // levels (sub-keys sharing a leaf seed) are reached too.
+      const int top = data[size - 1] % (key->domain_bits + 1);
       const auto shards = dpf::SplitForShards(*key, top);
-      for (const dpf::SubtreeKey& sub : shards) {
-        const auto redone = dpf::SubtreeKey::Deserialize(sub.Serialize());
+      for (std::size_t s = 0; s < shards.size(); ++s) {
+        const auto redone =
+            dpf::SubtreeKey::Deserialize(shards[s].Serialize());
         LW_CHECK_MSG(redone.ok(), "split subtree key failed to deserialize");
+        const dpf::BitVector sub_bits = dpf::EvalSubtree(*redone);
+        for (std::uint64_t j = 0; j < domain >> top; ++j) {
+          LW_CHECK_MSG(
+              dpf::GetBit(sub_bits, j) == dpf::GetBit(bits, s + (j << top)),
+              "EvalSubtree disagrees with EvalFull");
+        }
       }
     }
   }

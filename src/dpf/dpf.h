@@ -1,5 +1,6 @@
-// Two-party distributed point functions (DPFs), tree construction of
-// Boyle–Gilboa–Ishai (CCS'16) with single-bit outputs.
+// Two-party distributed point functions (DPFs): the tree construction of
+// Boyle–Gilboa–Ishai ("Function Secret Sharing: Improvements and
+// Extensions", CCS'16) with early termination and single-bit outputs.
 //
 // A DPF splits the point function f_alpha (f_alpha(alpha)=1, 0 elsewhere,
 // over domain {0,...,2^d - 1}) into two keys. Each key alone reveals nothing
@@ -9,12 +10,28 @@
 // together the records whose evaluation bit is 1; the XOR of the two answers
 // is the record at alpha.
 //
-// Key size is Θ((λ+2)·d) bits (λ = 128), matching the paper's §5.1
-// communication analysis. Full-domain evaluation costs 2^d PRG expansions,
-// which is the "DPF evaluation" half of the paper's per-request server
-// compute; the module also implements the §5.2 front-end/data-server split
-// where the top of the tree is evaluated once and sub-tree roots are shipped
-// to shards.
+// Early termination: the tree stops kLeafBlockBits = 7 levels above the bit
+// leaves. It has nu = TreeLevels(d) = max(d - 7, 0) levels; level i consumes
+// bit i of the evaluation point (least-significant first). Each of the 2^nu
+// leaf seeds s_p, with control bit t_p, becomes a block of 2^(d - nu) <= 128
+// share bits
+//
+//     y_p = Convert(s_p) XOR t_p * CW_out,
+//
+// where Convert is fixed-key AES-MMO under a third public key
+// (crypto::DpfPrg::ConvertBatch). Bit j of y_p is the share at the point
+// x = p + (j << nu), so leaf p still sits at array position p, and shard s
+// of a SplitForShards still holds the residue class x = s mod 2^top_bits.
+//
+// Key size: KeySize(d) = 2 + 16 + 17 * nu + 16 bytes, Θ(λ·(d − 7)) with
+// λ = 128: one 17-byte correction word per tree level plus the 16-byte
+// CW_out. Full-domain evaluation costs 2^(nu+1) tree AES calls, 2^nu convert
+// calls and one 64-leaf x 128-bit transpose per 64 leaves: at d = 22 that is
+// ~98k AES calls against the ~8.4M of a tree expanded to 1-bit leaves. This
+// is the "DPF evaluation" half of the paper's per-request server compute;
+// the module also implements the §5.2 front-end/data-server split where the
+// top of the tree is evaluated once and sub-tree roots are shipped to
+// shards.
 #pragma once
 
 #include <cstdint>
@@ -24,15 +41,27 @@
 #include "util/bytes.h"
 #include "util/status.h"
 
-namespace lw {
-class ThreadPool;
-}
-
 namespace lw::dpf {
 
 inline constexpr std::size_t kSeedSize = 16;
 inline constexpr int kMaxDomainBits = 40;
 inline constexpr int kLambdaBits = 128;  // PRG seed length (security param)
+// log2 of the bits one leaf seed turns into (the 128-bit Convert output).
+inline constexpr int kLeafBlockBits = 7;
+
+// Tree levels of a 2^domain_bits-point DPF: max(domain_bits - 7, 0).
+constexpr int TreeLevels(int domain_bits) {
+  return domain_bits > kLeafBlockBits ? domain_bits - kLeafBlockBits : 0;
+}
+
+// Serialized DpfKey size: party + domain_bits + root seed + TreeLevels(d)
+// correction words of 17 bytes + CW_out. The one size formula; the
+// communication accounting (pir::QueryUploadBytes) calls it.
+constexpr std::size_t KeySize(int domain_bits) {
+  return 2 + kSeedSize +
+         static_cast<std::size_t>(TreeLevels(domain_bits)) * (kSeedSize + 1) +
+         kSeedSize;
+}
 
 // Per-level correction word: a seed plus one control-bit correction per side.
 // One correction word alone is secret-correlated with alpha (it is the XOR
@@ -43,17 +72,18 @@ struct CorrectionWord {
   std::uint8_t t_right;  // 0 or 1
 };
 
-// One party's share of the DPF. Level i of the tree consumes bit i of the
-// evaluation point (least-significant first): with levels laid out as
-// [left children || right children], the PRG's batch output lands directly
-// in place and leaf p still ends up at array position p.
+// One party's share of the DPF. Wire format: party (1 B), domain_bits
+// (1 B), root seed (16 B), TreeLevels(d) correction words (16-byte seed +
+// 1 byte packing t_left | t_right << 1), CW_out (16 B).
 struct DpfKey {
   std::uint8_t party = 0;        // 0 or 1
   std::uint8_t domain_bits = 0;  // d; domain size is 2^d
   LW_SECRET std::uint8_t root_seed[kSeedSize] = {};
-  std::vector<CorrectionWord> correction_words;  // d entries
+  std::vector<CorrectionWord> correction_words;  // TreeLevels(d) entries
+  // Output correction: Convert(s0) XOR Convert(s1) XOR e_(alpha >> nu).
+  LW_SECRET std::uint8_t cw_out[kSeedSize] = {};
 
-  std::size_t SerializedSize() const;
+  std::size_t SerializedSize() const { return KeySize(domain_bits); }
   Bytes Serialize() const;
   static Result<DpfKey> Deserialize(ByteSpan data);
 
@@ -81,21 +111,19 @@ inline std::uint8_t GetBit(const BitVector& bits, std::uint64_t i) {
   return static_cast<std::uint8_t>((bits[i >> 6] >> (i & 63)) & 1);
 }
 
-// Full-domain evaluation: all 2^d share bits, breadth-first (two AES batch
-// calls per level over contiguous buffers).
+// Full-domain evaluation: all 2^d share bits. The tree expands breadth-first
+// in one buffer (two AES batch calls per level), then every 64 leaves are
+// converted and transposed into whole words of the result.
 BitVector EvalFull(const DpfKey& key);
 
-// Multi-core full-domain evaluation; bit-identical to EvalFull. The top
-// k >= 7 tree levels are expanded once on the caller (cheap), then the
-// 2^k sub-trees are evaluated on the pool in blocks of 64. Because level i
-// consumes evaluation-point bit i (LSB first), sub-tree s covers the
-// residue class {x : x mod 2^k == s} — its leaves interleave through the
-// output with stride 2^k — but a block of 64 consecutive sub-trees owns
-// whole 64-bit output words (words w ≡ block (mod 2^(k-6))), so workers
-// write disjoint words of the shared result with no synchronization.
-// Serial fallback (== EvalFull) when pool is null, single-threaded, or the
-// domain is too small to split (d < 8).
-BitVector EvalFullParallel(const DpfKey& key, ThreadPool* pool);
+// The leaf stage of every full-domain evaluation: for 64 leaves r, computes
+// y_r = Convert(seeds[r]) XOR ts[r] * cw_out and transposes, so that bit r
+// of out[j] is bit j of y_r. `seeds` (64 * 16 bytes) is overwritten with
+// the Convert outputs. Branch-free and free of secret-dependent addresses;
+// tools/ctcheck times it against fixed and random leaf seeds.
+void ConvertLeafGroup(LW_SECRET std::uint8_t* seeds, const std::uint8_t* ts,
+                      LW_SECRET const std::uint8_t* cw_out,
+                      std::uint64_t out[2 * 64]);
 
 // ------------------------------------------------------------------------
 // Distributed evaluation (paper §5.2, "Distributing DPF evaluation").
@@ -106,12 +134,22 @@ BitVector EvalFullParallel(const DpfKey& key, ThreadPool* pool);
 // 2^(d - top_bits) domain.
 // ------------------------------------------------------------------------
 
+// Wire format: party (1 B), domain_bits d' (1 B), root control bit t (1 B),
+// seed (16 B), TreeLevels(d') correction words (17 B each), CW_out (16 B),
+// and, only when d' < 7, leaf_offset (1 B) and leaf_stride_bits (1 B).
 struct SubtreeKey {
   std::uint8_t party = 0;
-  std::uint8_t domain_bits = 0;  // remaining depth below this root
+  std::uint8_t domain_bits = 0;  // d': this key covers 2^d' points
   LW_SECRET std::uint8_t seed[kSeedSize] = {};
   std::uint8_t t = 0;  // control bit at the sub-tree root
-  std::vector<CorrectionWord> correction_words;  // remaining levels
+  std::vector<CorrectionWord> correction_words;  // TreeLevels(d') entries
+  LW_SECRET std::uint8_t cw_out[kSeedSize] = {};
+  // A split past the tree levels (d' < 7) hands out a leaf seed, whose
+  // block this key shares with other shards: point j of this key is bit
+  // leaf_offset + (j << leaf_stride_bits) of the leaf's block. Both are
+  // public, derived from the shard index; 0 when d' >= 7.
+  std::uint8_t leaf_offset = 0;
+  std::uint8_t leaf_stride_bits = 0;
 
   std::size_t SerializedSize() const;
   Bytes Serialize() const;
@@ -121,15 +159,11 @@ struct SubtreeKey {
 // Splits a key into 2^top_bits sub-tree keys. Because the tree consumes
 // evaluation-point bits LSB-first, shard s covers the residue class
 // { x : x mod 2^top_bits == s }, and leaf j of shard s is the point
-// x = s + (j << top_bits). Requires 0 <= top_bits <= domain_bits.
+// x = s + (j << top_bits). Requires 0 <= top_bits <= domain_bits; splits
+// deeper than the tree (top_bits > TreeLevels(d)) share leaf seeds.
 std::vector<SubtreeKey> SplitForShards(const DpfKey& key, int top_bits);
 
-// Evaluates all 2^domain_bits leaves under a sub-tree root.
+// Evaluates all 2^domain_bits points under a sub-tree root.
 BitVector EvalSubtree(const SubtreeKey& key);
-
-// Multi-core EvalSubtree (same scheme and fallbacks as EvalFullParallel):
-// a data server answering §5.2 sub-tree queries parallelizes exactly like a
-// monolithic server.
-BitVector EvalSubtreeParallel(const SubtreeKey& key, ThreadPool* pool);
 
 }  // namespace lw::dpf

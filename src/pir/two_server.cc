@@ -17,9 +17,7 @@ Result<Bytes> CombineAnswers(ByteSpan answer0, ByteSpan answer1) {
 }
 
 std::size_t QueryUploadBytes(int domain_bits) {
-  // party + domain_bits + 16-byte root seed + d * (16-byte CW + t bits).
-  return 2 + dpf::kSeedSize +
-         static_cast<std::size_t>(domain_bits) * (dpf::kSeedSize + 1);
+  return dpf::KeySize(domain_bits);
 }
 
 std::size_t TotalCommunicationBytes(int domain_bits,

@@ -1,12 +1,12 @@
 // Fixed-size worker pool with a chunked ParallelFor.
 //
-// The ZLTP server's per-request cost is two embarrassingly parallel passes
-// (DPF full-domain expansion and the record XOR scan — paper §5.1), and the
-// paper's latency figures assume the server "can use multiple cores". This
-// pool is the shared substrate for both hot paths: a fixed worker set is
-// spawned once per server and reused across requests, so the steady state
-// pays no thread creation and each worker keeps its thread-local DPF
-// scratch buffers warm.
+// The ZLTP server's per-request cost is dominated by the record XOR scan
+// (paper §5.1), an embarrassingly parallel pass, and the paper's latency
+// figures assume the server "can use multiple cores". This pool runs that
+// scan: a fixed worker set is spawned once per server and reused across
+// requests, so the steady state pays no thread creation. (DPF expansion
+// stops 7 levels early and costs less than a pool hand-off, so it runs on
+// the caller.)
 //
 // Scheduling is static partitioning with work handoff: ParallelFor cuts the
 // range into a few chunks per thread (never smaller than `grain`) and

@@ -47,7 +47,7 @@ Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
     return ProtocolError("sub-tree key has wrong depth for this shard");
   }
   const auto expand_start = obs::TraceNow();
-  const dpf::BitVector bits = dpf::EvalSubtreeParallel(key, pool_.get());
+  const dpf::BitVector bits = dpf::EvalSubtree(key);
   const std::uint64_t expand_ns = obs::ElapsedNs(expand_start);
   obs::M().dpf_expand_ns.Observe(expand_ns);
   obs::AddExpandNs(expand_ns);

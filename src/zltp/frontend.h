@@ -50,10 +50,10 @@ struct ShardTopology {
 
 class ShardDataServer {
  public:
-  // `num_threads` drives the shard's sub-tree DPF expansion and XOR scan
-  // through a private pool (0 = hardware_concurrency(), 1 = serial; the
-  // default stays serial because deployments typically pack one shard per
-  // small instance — paper §5.2).
+  // `num_threads` drives the shard's XOR scan through a private pool
+  // (0 = hardware_concurrency(), 1 = serial; the default stays serial
+  // because deployments typically pack one shard per small instance —
+  // paper §5.2).
   ShardDataServer(const ShardTopology& topology, std::size_t shard_index,
                   int num_threads = 1);
 

@@ -108,7 +108,7 @@ Result<Bytes> PirStore::AnswerQuery(const dpf::DpfKey& key,
   std::uint64_t expand_ns = 0;  // summed over shards, one sample per query
   if (shards_.size() == 1) {
     const auto t0 = obs::TraceNow();
-    const dpf::BitVector bits = dpf::EvalFullParallel(key, pool);
+    const dpf::BitVector bits = dpf::EvalFull(key);
     expand_ns = obs::ElapsedNs(t0);
     obs::M().dpf_expand_ns.Observe(expand_ns);
     obs::AddExpandNs(expand_ns);
@@ -121,7 +121,7 @@ Result<Bytes> PirStore::AnswerQuery(const dpf::DpfKey& key,
   Bytes shard_answer(config_.record_size);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto t0 = obs::TraceNow();
-    const dpf::BitVector bits = dpf::EvalSubtreeParallel(subkeys[s], pool);
+    const dpf::BitVector bits = dpf::EvalSubtree(subkeys[s]);
     expand_ns += obs::ElapsedNs(t0);
     shards_[s]->Answer(bits, shard_answer, pool);
     XorInto(out, shard_answer);
@@ -146,13 +146,13 @@ Result<std::vector<Bytes>> PirStore::AnswerBatch(
       shards_.size(), std::vector<dpf::BitVector>(keys.size()));
   for (std::size_t q = 0; q < keys.size(); ++q) {
     if (shards_.size() == 1) {
-      shard_bits[0][q] = dpf::EvalFullParallel(keys[q], pool);
+      shard_bits[0][q] = dpf::EvalFull(keys[q]);
     } else {
       // §5.2: expand the top of the tree once, then each shard's sub-tree.
       const auto subkeys =
           dpf::SplitForShards(keys[q], config_.shard_top_bits);
       for (std::size_t s = 0; s < shards_.size(); ++s) {
-        shard_bits[s][q] = dpf::EvalSubtreeParallel(subkeys[s], pool);
+        shard_bits[s][q] = dpf::EvalSubtree(subkeys[s]);
       }
     }
   }

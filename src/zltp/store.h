@@ -57,8 +57,8 @@ class PirStore {
   std::size_t stored_bytes() const;
 
   // Answers one PIR query (full scan). The DPF key's domain must match.
-  // A non-null pool parallelizes the DPF expansion and the data scan
-  // across its workers (identical answers either way).
+  // A non-null pool parallelizes the data scan across its workers
+  // (identical answers either way); the DPF expansion runs on the caller.
   Result<Bytes> AnswerQuery(const dpf::DpfKey& key,
                             ThreadPool* pool = nullptr) const;
 

@@ -527,6 +527,44 @@ TEST(DpfPrg, BatchMatchesSingle) {
   }
 }
 
+TEST(DpfPrg, InPlaceExpansionMatchesOutOfPlace) {
+  // The DPF expands a level in one buffer: left children over their
+  // parents, right children after them.
+  const DpfPrg& prg = SharedDpfPrg();
+  constexpr std::size_t kN = 13;
+  const Bytes seeds = SecureRandom(kN * 16);
+  Bytes bl(kN * 16), br(kN * 16), btl(kN), btr(kN);
+  prg.ExpandBatch(seeds.data(), kN, bl.data(), br.data(), btl.data(),
+                  btr.data());
+  Bytes buf(2 * kN * 16);
+  std::memcpy(buf.data(), seeds.data(), seeds.size());
+  Bytes tl(kN), tr(kN);
+  prg.ExpandBatch(buf.data(), kN, buf.data(), buf.data() + kN * 16, tl.data(),
+                  tr.data());
+  EXPECT_EQ(Bytes(buf.begin(), buf.begin() + kN * 16), bl);
+  EXPECT_EQ(Bytes(buf.begin() + kN * 16, buf.end()), br);
+  EXPECT_EQ(tl, btl);
+  EXPECT_EQ(tr, btr);
+}
+
+TEST(DpfPrg, ConvertIsAThirdIndependentFunction) {
+  // Convert (the leaf-to-output step) uses its own key: its output is
+  // neither child, and it works in place.
+  const DpfPrg& prg = SharedDpfPrg();
+  const Bytes seed = SecureRandom(16);
+  std::uint8_t l[16], r[16], c[16];
+  std::uint8_t tl, tr;
+  prg.Expand(seed.data(), l, r, &tl, &tr);
+  prg.ConvertBatch(seed.data(), 1, c);
+  c[0] &= 0xfe;  // compare with the children's cleared control bit
+  EXPECT_NE(0, std::memcmp(c, l, 16));
+  EXPECT_NE(0, std::memcmp(c, r, 16));
+  Bytes in_place = seed;
+  prg.ConvertBatch(in_place.data(), 1, in_place.data());
+  prg.ConvertBatch(seed.data(), 1, c);
+  EXPECT_EQ(0, std::memcmp(in_place.data(), c, 16));
+}
+
 TEST(DpfPrg, ControlBitBalance) {
   // Rough statistical sanity: the control bits should be near-uniform.
   const DpfPrg& prg = SharedDpfPrg();

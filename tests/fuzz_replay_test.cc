@@ -173,9 +173,15 @@ TEST(FuzzRegressions, DpfKeyRangeAndTrailingChecks) {
   EXPECT_FALSE(
       dpf::DpfKey::Deserialize(ReadCorpusFile("dpf/regression-trailing-byte.bin"))
           .ok());
+  EXPECT_FALSE(
+      dpf::DpfKey::Deserialize(ReadCorpusFile("dpf/regression-cwbits4.bin"))
+          .ok());
   const auto good = dpf::DpfKey::Deserialize(
       ReadCorpusFile("dpf/seed-key-d2.bin"));
   EXPECT_TRUE(good.ok()) << good.status().ToString();
+  const auto sub = dpf::SubtreeKey::Deserialize(
+      ReadCorpusFile("dpf/seed-subtree-d1.bin"));
+  EXPECT_TRUE(sub.ok()) << sub.status().ToString();
 }
 
 }  // namespace

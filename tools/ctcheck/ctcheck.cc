@@ -10,12 +10,14 @@
 // A |t| above the threshold means the distributions differ, i.e. the
 // secret leaks into timing.
 //
-// Targets cover the four constant-time kernels the paper's privacy
+// Targets cover the five constant-time kernels the paper's privacy
 // argument leans on:
 //   aead-tag-verify   ChaCha20-Poly1305 tag rejection (mismatch position)
 //   poly1305-mac      Poly1305 final reduction (fixed vs random message)
 //   cuckoo-match      keyword fingerprint match (which slot matched)
 //   oram-stash-scan   Path ORAM stash selection (present vs absent id)
+//   dpf-leaf-convert  DPF leaf stage: Convert + 64x128-bit transpose
+//                     (fixed vs random leaf seeds)
 // plus one deliberately variable-time reference:
 //   vartime-ref       early-exit byte compare — ctcheck must DETECT this
 //                     leak, or the harness itself is broken (self-test).
@@ -40,6 +42,7 @@
 
 #include "crypto/aead.h"
 #include "crypto/poly1305.h"
+#include "dpf/dpf.h"
 #include "oram/path_oram.h"
 #include "pir/cuckoo_store.h"
 #include "pir/packing.h"
@@ -73,6 +76,17 @@ inline void DoNotOptimize(const void* p) {
   __asm__ volatile("" : : "g"(p) : "memory");
 #else
   (void)p;
+#endif
+}
+
+// Orders the timed region after every earlier load and store, so the work
+// a class did to prepare its input cannot bleed into the measurement.
+inline void Fence() {
+#if defined(__x86_64__) || defined(_M_X64)
+  _mm_mfence();
+  _mm_lfence();
+#else
+  __atomic_thread_fence(__ATOMIC_SEQ_CST);
 #endif
 }
 
@@ -177,21 +191,47 @@ Timings RunAeadTagVerify(std::size_t samples, Xorshift64& rng) {
   return t;
 }
 
+// Fixed-vs-random inputs prepared before the timed loop. Each sample draws
+// a slot, then class 0 copies the fixed input from that slot of one pool
+// and class 1 the random input in that slot of an equal-sized pool: both
+// classes do the same draw and the same copy with the same cache
+// behaviour, so the only difference left before the clock read is the
+// secret data itself.
+class InputPool {
+ public:
+  InputPool(std::size_t size, Xorshift64& rng, const Bytes& fixed)
+      : size_(size), fixed_(size * kInputs), random_(size * kInputs) {
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      std::memcpy(fixed_.data() + i * size, fixed.data(), size);
+    }
+    rng.Fill(random_);
+  }
+  const std::uint8_t* Pick(int cls, Xorshift64& rng) const {
+    const std::size_t slot = rng.Next() % kInputs;
+    return (cls == 0 ? fixed_ : random_).data() + slot * size_;
+  }
+
+ private:
+  static constexpr std::size_t kInputs = 64;
+  std::size_t size_;
+  Bytes fixed_;
+  Bytes random_;
+};
+
 Timings RunPoly1305(std::size_t samples, Xorshift64& rng) {
   // Classic fixed-vs-random message under a fixed key: the final mod-p
   // reduction and the per-block carries must not depend on message words.
   const Bytes key(crypto::kPoly1305KeySize, 0x5a);
+  // Class 0 is all 0xff: max limbs, forcing carries.
+  const InputPool inputs(512, rng, Bytes(512, 0xff));
   Bytes msg(512, 0);
   std::uint8_t tag[crypto::kPoly1305TagSize];
 
   Timings t;
   for (std::size_t s = 0; s < samples; ++s) {
     const int cls = static_cast<int>(rng.Next() & 1);
-    if (cls == 0) {
-      std::memset(msg.data(), 0xff, msg.size());  // max limbs: forces carries
-    } else {
-      rng.Fill(msg);
-    }
+    std::memcpy(msg.data(), inputs.Pick(cls, rng), msg.size());
+    Fence();
     const std::uint64_t t0 = Now();
     crypto::Poly1305(key, msg, tag);
     const std::uint64_t t1 = Now();
@@ -250,6 +290,34 @@ Timings RunOramStashScan(std::size_t samples, Xorshift64& rng) {
   return t;
 }
 
+Timings RunDpfLeafConvert(std::size_t samples, Xorshift64& rng) {
+  // The leaf stage of every DPF evaluation turns 64 leaf seeds into 8,192
+  // share bits (AES-MMO, masked CW_out, bit transpose). Its time must
+  // not depend on the seeds: class 0 converts the same fixed group of leaf
+  // seeds every time, class 1 a random group.
+  constexpr std::size_t kBytes = 64 * dpf::kSeedSize;
+  const InputPool inputs(kBytes, rng, Bytes(kBytes, 0x3c));
+  Bytes seeds(kBytes);
+  std::uint8_t ts[64];
+  for (std::uint8_t& bit : ts) bit = static_cast<std::uint8_t>(rng.Next() & 1);
+  std::uint8_t cw_out[dpf::kSeedSize];
+  rng.Fill(MutableByteSpan(cw_out, sizeof cw_out));
+  std::uint64_t out[128];
+
+  Timings t;
+  for (std::size_t s = 0; s < samples; ++s) {
+    const int cls = static_cast<int>(rng.Next() & 1);
+    std::memcpy(seeds.data(), inputs.Pick(cls, rng), kBytes);
+    Fence();
+    const std::uint64_t t0 = Now();
+    dpf::ConvertLeafGroup(seeds.data(), ts, cw_out, out);
+    const std::uint64_t t1 = Now();
+    DoNotOptimize(out);
+    t.cls[cls].push_back(static_cast<double>(t1 - t0));
+  }
+  return t;
+}
+
 // Deliberately variable-time reference: the early-exit compare every C
 // programmer writes first. ctcheck exists to catch exactly this; if the
 // harness cannot, the harness is broken.
@@ -294,6 +362,7 @@ const Target kTargets[] = {
     {"poly1305-mac", RunPoly1305, false},
     {"cuckoo-match", RunCuckooMatch, false},
     {"oram-stash-scan", RunOramStashScan, false},
+    {"dpf-leaf-convert", RunDpfLeafConvert, false},
     {"vartime-ref", RunVartimeRef, true},
 };
 
