@@ -9,18 +9,24 @@
 //    implements the full keyword private-GET: hash the key into the DPF
 //    domain, generate the two key shares, collect and XOR the answers,
 //    unpack, and verify the embedded fingerprint (detecting absence and
-//    hash collisions without trusting the servers).
+//    hash collisions without trusting the servers). Every PIR GET — single,
+//    dummy or batch — is one pipelined exchange: all shares go to both
+//    servers before any reply is read, so it costs one round trip.
 //  * EnclaveSession — the single-server enclave-mode equivalent.
 //
-// Both are resilient (docs/ROBUSTNESS.md): operations carry per-attempt
-// deadlines, retryable failures (UNAVAILABLE, DEADLINE_EXCEEDED) trigger
-// jittered-backoff retries, and — when EstablishOptions supplies transport
-// factories — dead connections are redialed and the hello re-run before
-// the retry. A retried private GET always regenerates fresh DPF key
-// shares; resending captured bytes would let the network correlate two
-// sightings of one query, which a fresh share cannot.
+// Both are resilient (docs/ROBUSTNESS.md) and share one retry loop
+// (SessionCore): operations carry per-attempt deadlines, retryable
+// failures (UNAVAILABLE, DEADLINE_EXCEEDED) trigger jittered-backoff
+// retries, and — when EstablishOptions supplies transport factories —
+// dead connections are redialed and the hello re-run before the retry. A
+// failed PIR exchange drops both connections whatever the failure, since
+// replies left in flight would otherwise answer later GETs. A retried
+// private GET always regenerates fresh DPF key shares; resending captured
+// bytes would let the network correlate two sightings of one query, which
+// a fresh share cannot.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -35,6 +41,10 @@
 #include "util/clock.h"
 #include "util/status.h"
 #include "zltp/messages.h"
+
+namespace lw::obs {
+class Counter;
+}  // namespace lw::obs
 
 namespace lw::zltp {
 
@@ -123,7 +133,54 @@ struct EstablishOptions {
   }
 };
 
-class PirSession final : public Session {
+// Session scaffolding shared by PirSession and EnclaveSession: timeouts,
+// retry policy, traffic accounting, framed send/receive, the hello, and
+// the one retry loop that runs both establish and every operation. Each
+// session supplies the connection steps the loop drives.
+class SessionCore {
+ protected:
+  explicit SessionCore(const EstablishOptions& options);
+
+  // A live connection set that has completed its hello.
+  virtual bool connected() const = 0;
+  virtual bool CanRedial() const = 0;
+  // Dials every missing connection and runs the hello on the set. A
+  // failure leaves nothing connected, so the next attempt starts afresh.
+  virtual Status Connect() = 0;
+  virtual void DropConnections() = 0;
+
+  // Runs `op` under the retry policy: Connect() when not connected, a
+  // fresh op deadline per attempt, and after a retryable failure a drop,
+  // a backoff and (when the session can redial) another attempt. Establish
+  // is this loop with an empty op. `op` must generate fresh queries on
+  // every call.
+  template <typename Op>
+  auto WithRetries(Op&& op) -> decltype(op(net::Deadline()));
+
+  // Framed I/O with traffic accounting. Receive turns a server Error frame
+  // into its status.
+  Status Send(net::Transport& transport, const net::Frame& frame,
+              const net::Deadline& deadline);
+  Result<net::Frame> Receive(net::Transport& transport,
+                             const net::Deadline& deadline);
+  Result<ServerHello> Hello(net::Transport& transport, Mode mode);
+
+  // Adds `n` to one traffic field of the session, of the traffic sink if
+  // any, and of its obs registry mirror.
+  void Account(std::uint64_t TrafficCounters::*field, obs::Counter& mirror,
+               std::uint64_t n = 1);
+
+  TrafficCounters traffic_;
+
+ private:
+  std::chrono::nanoseconds hello_timeout_{0};
+  std::chrono::nanoseconds op_timeout_{0};
+  net::RetryPolicy retry_ = net::RetryPolicy::NoRetry();
+  Clock* clock_ = nullptr;
+  TrafficCounters* sink_ = nullptr;
+};
+
+class PirSession final : public Session, private SessionCore {
  public:
   // Performs the hello exchange on both connections. Fails unless the two
   // servers agree on blob size / domain / keyword seed and present distinct
@@ -138,18 +195,21 @@ class PirSession final : public Session {
   std::size_t record_size() const override { return record_size_; }
   const Bytes& keyword_seed() const { return keyword_seed_; }
 
+  // Every private GET below is one pipelined exchange: each query's two
+  // DPF key shares go out to both servers before any reply is read, and
+  // the replies are matched by request id. A single GET therefore costs
+  // one network round trip, like a whole batch.
   Result<Bytes> PrivateGet(std::string_view key) override;
 
-  // Pipelined batch: all requests (for every key, plus `extra_dummies`
-  // random-index cover queries) are sent to both servers before any
-  // response is read. One network round trip for the whole page load, and
-  // the server co-batches the scans (§5.1).
+  // All requests (for every key, plus `extra_dummies` random-index cover
+  // queries) in one exchange; the server co-batches their scans (§5.1).
   Result<std::vector<Result<Bytes>>> PrivateGetBatch(
       const std::vector<std::string>& keys, int extra_dummies = 0) override;
 
   // Raw private-GET of a domain index (returns the packed record).
   Result<Bytes> PrivateGetIndex(std::uint64_t index);
 
+  // One random-index query, discarded.
   Status DummyGet() override;
 
   const TrafficCounters& traffic() const override { return traffic_; }
@@ -157,63 +217,42 @@ class PirSession final : public Session {
   void Close() override;
 
  private:
-  PirSession() = default;
+  explicit PirSession(const EstablishOptions& options)
+      : SessionCore(options) {}
 
-  net::Deadline OpDeadline() const;
-  net::Deadline HelloDeadline() const;
-  Result<ServerHello> HelloOn(net::Transport& transport);
+  bool connected() const override;
+  bool CanRedial() const override;
+  Status Connect() override;
+  void DropConnections() override;
 
-  // Hellos both transports and installs them. On first establish the pair
-  // is ordered by announced role; on redial (`reestablish`) each slot must
-  // re-announce the role and universe parameters recorded at establish.
-  Status AdoptConnections(std::unique_ptr<net::Transport> t0,
-                          std::unique_ptr<net::Transport> t1,
-                          net::TransportFactory dial0,
-                          net::TransportFactory dial1, bool reestablish);
+  // Hellos both connections. On first establish the pair is ordered by
+  // announced role; on redial each slot must re-announce the role and
+  // universe parameters recorded at establish.
+  Status AdoptConnections();
 
-  bool connected() const;
-  bool CanRedial() const;
-  Status Redial();
-  void DropConnections();
-
-  // Runs `op` under the retry policy: per-attempt deadline, backoff between
-  // attempts, redial (fresh connections + hello) before each retry. `op`
-  // must generate fresh queries on every call.
-  template <typename Op>
-  auto WithRetries(Op&& op) -> decltype(op(net::Deadline()));
-
-  Result<Bytes> RoundTrip(net::Transport& transport, const Bytes& body,
-                          std::uint32_t request_id,
-                          const net::Deadline& deadline);
-
-  void AccountSent(std::size_t n);
-  void AccountReceived(std::size_t n);
-  void AccountRequests(std::uint64_t n);
-  void AccountRetry();
-  void AccountRedial();
+  // Private-GETs `indices` plus `dummies` random indices under the retry
+  // policy and returns the reconstructed records of `indices`, in order.
+  Result<std::vector<Bytes>> Fetch(const std::vector<std::uint64_t>& indices,
+                                   int dummies);
+  // One attempt of Fetch: the pipelined exchange.
+  Result<std::vector<Bytes>> Exchange(const std::vector<std::uint64_t>& indices,
+                                      int dummies,
+                                      const net::Deadline& deadline);
 
   struct Link {
     std::unique_ptr<net::Transport> transport;
     net::TransportFactory dial;
   };
-  Link link0_;  // role 0
-  Link link1_;  // role 1
+  std::array<Link, 2> links_;  // indexed by server role once established
   bool closed_ = false;
 
-  int domain_bits_ = 0;
+  int domain_bits_ = 0;  // nonzero once established
   std::size_t record_size_ = 0;
   Bytes keyword_seed_;
   std::uint32_t next_request_id_ = 1;
-
-  std::chrono::nanoseconds hello_timeout_{0};
-  std::chrono::nanoseconds op_timeout_{0};
-  net::RetryPolicy retry_ = net::RetryPolicy::NoRetry();
-  Clock* clock_ = nullptr;
-  TrafficCounters* sink_ = nullptr;
-  TrafficCounters traffic_;
 };
 
-class EnclaveSession final : public Session {
+class EnclaveSession final : public Session, private SessionCore {
  public:
   // Single-server: uses the transport0/factory0 slots; setting the *1
   // slots is an error.
@@ -242,31 +281,22 @@ class EnclaveSession final : public Session {
   void Close() override;
 
  private:
-  EnclaveSession() = default;
+  explicit EnclaveSession(const EstablishOptions& options)
+      : SessionCore(options), dial_(options.factory0) {}
 
-  net::Deadline OpDeadline() const;
-  net::Deadline HelloDeadline() const;
-  Status Adopt(std::unique_ptr<net::Transport> transport, bool reestablish);
-  Status Redial();
-
-  template <typename Op>
-  auto WithRetries(Op&& op) -> decltype(op(net::Deadline()));
+  bool connected() const override;
+  bool CanRedial() const override;
+  Status Connect() override;
+  void DropConnections() override;
 
   std::unique_ptr<net::Transport> server_;
   net::TransportFactory dial_;
   bool closed_ = false;
 
+  // Set by the first successful hello.
   std::unique_ptr<oram::EnclaveClient> enclave_client_;
-  Bytes enclave_public_key_;
   std::size_t record_size_ = 0;
   std::uint32_t next_request_id_ = 1;
-
-  std::chrono::nanoseconds hello_timeout_{0};
-  std::chrono::nanoseconds op_timeout_{0};
-  net::RetryPolicy retry_ = net::RetryPolicy::NoRetry();
-  Clock* clock_ = nullptr;
-  TrafficCounters* sink_ = nullptr;
-  TrafficCounters traffic_;
 };
 
 }  // namespace lw::zltp

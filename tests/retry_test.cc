@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "net/transport.h"
 #include "oram/enclave.h"
 #include "reactor_serving.h"
+#include "util/check.h"
 #include "util/clock.h"
 #include "zltp/client.h"
 #include "zltp/messages.h"
@@ -92,10 +95,11 @@ zltp::PirStoreConfig StoreConfig() {
 // Two live PIR servers on a reactor plus factories that dial fresh TCP
 // connections to them — the shape a real deployment's redial has.
 struct TwoServers {
-  TwoServers()
+  explicit TwoServers(zltp::ServerOptions options = {})
       : store(StoreConfig()),
-        ports{serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 0)),
-              serving.Serve(serving.Make<zltp::ZltpPirServer>(store, 1))} {}
+        servers{&serving.Make<zltp::ZltpPirServer>(store, 0, options),
+                &serving.Make<zltp::ZltpPirServer>(store, 1, options)},
+        ports{serving.Serve(*servers[0]), serving.Serve(*servers[1])} {}
 
   net::TransportFactory Dial(int role) {
     return ReactorServing::Dialer(ports[role]);
@@ -106,7 +110,40 @@ struct TwoServers {
 
   zltp::PirStore store;
   ReactorServing serving;  // after store: the servers read it
+  zltp::ZltpPirServer* servers[2];
   std::uint16_t ports[2];
+};
+
+// A factory whose first dial is refused; later dials go through `dial`.
+net::TransportFactory RefuseFirstDial(net::TransportFactory dial) {
+  auto dials = std::make_shared<std::atomic<int>>(0);
+  return [dials, dial]() -> Result<std::unique_ptr<net::Transport>> {
+    if (dials->fetch_add(1) == 0) return UnavailableError("dial refused");
+    return dial();
+  };
+}
+
+// One reactor-served enclave holding `key` → `value`.
+struct EnclaveServer {
+  EnclaveServer(std::string_view key, std::string_view value)
+      : storage(oram::KvEnclave::RequiredStorageBuckets(Config())),
+        enclave(Config(), storage) {
+    LW_CHECK(enclave.Put(key, ToBytes(value)).ok());
+    port = serving.Serve(serving.Make<zltp::ZltpEnclaveServer>(enclave));
+  }
+
+  static oram::EnclaveConfig Config() {
+    oram::EnclaveConfig config;
+    config.capacity = 64;
+    config.value_size = 128;
+    return config;
+  }
+  net::TransportFactory Dial() const { return ReactorServing::Dialer(port); }
+
+  oram::MemoryStorage storage;
+  oram::KvEnclave enclave;
+  ReactorServing serving;  // after enclave: the server reads it
+  std::uint16_t port = 0;
 };
 
 // ------------------------------------------------------- establish retry
@@ -276,6 +313,79 @@ TEST(SessionRetryTest, RedialReverifiesServerRoles) {
       << value.status().ToString();
 }
 
+// ------------------------------------------- server Error frames
+
+// Servers that shed every request beyond the one parked in their 300 ms
+// co-rider window: a 3-key batch gets one answer and two RESOURCE_EXHAUSTED
+// Error frames from each server. Error frames carry no request id.
+zltp::ServerOptions SheddingServer() {
+  zltp::ServerOptions options;
+  options.num_threads = 1;
+  options.batch_config.queue_limit = 1;
+  options.batch_config.max_wait = milliseconds(300);
+  return options;
+}
+
+// Waits until both servers have answered their parked rider.
+void WaitUntilIdle(TwoServers& servers) {
+  const auto give_up = std::chrono::steady_clock::now() + seconds(30);
+  for (zltp::ZltpPirServer* server : servers.servers) {
+    while (server->batch_stats().batches == 0) {
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+      std::this_thread::sleep_for(milliseconds(5));
+    }
+  }
+}
+
+TEST(SessionRetryTest, ErrorFrameDropsConnectionsAndRedials) {
+  TwoServers servers(SheddingServer());
+  ASSERT_TRUE(servers.store.Publish("k", ToBytes("v")).ok());
+  zltp::EstablishOptions options;
+  options.factory0 = servers.Dial(0);
+  options.factory1 = servers.Dial(1);
+  auto session = zltp::PirSession::Establish(std::move(options));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  auto shed = session->PrivateGetBatch({"k", "k", "k"});
+  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted)
+      << shed.status().ToString();
+
+  // The shed batch's other replies must not be read as the answers to
+  // later GETs: the session drops both connections and redials.
+  WaitUntilIdle(servers);
+  auto value = session->PrivateGet("k");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(ToString(*value), "v");
+  EXPECT_EQ(session->traffic().redials, 1u);
+  auto batch = session->PrivateGetBatch({"k"});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_TRUE((*batch)[0].ok()) << (*batch)[0].status().ToString();
+  EXPECT_EQ(ToString((*batch)[0].value()), "v");
+  session->Close();
+}
+
+TEST(SessionRetryTest, ErrorFrameWithoutFactoryFailsLaterGetsCleanly) {
+  TwoServers servers(SheddingServer());
+  ASSERT_TRUE(servers.store.Publish("k", ToBytes("v")).ok());
+  auto session = zltp::PirSession::Establish(zltp::EstablishOptions::
+      FromTransports(servers.Connect(0), servers.Connect(1)));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  auto shed = session->PrivateGetBatch({"k", "k", "k"});
+  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted)
+      << shed.status().ToString();
+
+  // No factory to redial: every later GET fails as disconnected, never
+  // with a stale reply left over from the shed batch.
+  WaitUntilIdle(servers);
+  auto value = session->PrivateGet("k");
+  EXPECT_EQ(value.status().code(), StatusCode::kUnavailable)
+      << value.status().ToString();
+  auto batch = session->PrivateGetBatch({"k"});
+  EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable)
+      << batch.status().ToString();
+}
+
 // ------------------------------------------------- deadlines, fake clock
 
 TEST(SessionRetryTest, SlowPeerHitsDeadlineWithoutRealSleeps) {
@@ -339,19 +449,36 @@ TEST(SessionRetryTest, DeadlineExceededRecoveredByRedial) {
 TEST(SessionRetryTest, TrafficSinkAggregatesAcrossSessions) {
   TwoServers servers;
   ASSERT_TRUE(servers.store.Publish("k", ToBytes("v")).ok());
+  EnclaveServer enclave("k", "v");
 
+  FakeClock fake;
   zltp::TrafficCounters sink;
   for (int i = 0; i < 2; ++i) {
     zltp::EstablishOptions options;
-    options.factory0 = servers.Dial(0);
+    options.factory0 = RefuseFirstDial(servers.Dial(0));
     options.factory1 = servers.Dial(1);
+    options.retry.max_attempts = 2;
+    options.clock = &fake;
     options.traffic_sink = &sink;
     auto session = zltp::PirSession::Establish(std::move(options));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     ASSERT_TRUE(session->PrivateGet("k").ok());
     session->Close();
   }
-  EXPECT_EQ(sink.requests, 2u);
+  // Enclave mode: its establish retry reaches the sink as well.
+  zltp::EstablishOptions options;
+  options.factory0 = RefuseFirstDial(enclave.Dial());
+  options.retry.max_attempts = 2;
+  options.clock = &fake;
+  options.traffic_sink = &sink;
+  auto session = zltp::EnclaveSession::Establish(std::move(options));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->PrivateGet("k").ok());
+  EXPECT_EQ(session->traffic().retries, 1u);
+  session->Close();
+
+  EXPECT_EQ(sink.requests, 3u);
+  EXPECT_EQ(sink.retries, 3u) << "one refused dial per session";
   EXPECT_GT(sink.bytes_sent, 0u);
   EXPECT_GT(sink.bytes_received, 0u);
 }
@@ -359,15 +486,8 @@ TEST(SessionRetryTest, TrafficSinkAggregatesAcrossSessions) {
 // ------------------------------------------------------------- enclave
 
 TEST(SessionRetryTest, EnclaveSessionRedialsAndReseals) {
-  oram::EnclaveConfig config;
-  config.capacity = 64;
-  config.value_size = 128;
-  oram::MemoryStorage storage(oram::KvEnclave::RequiredStorageBuckets(config));
-  oram::KvEnclave enclave(config, storage);
-  ASSERT_TRUE(enclave.Put("wiki/Uganda", ToBytes("landlocked")).ok());
-  ReactorServing serving;
-  net::TransportFactory dial = ReactorServing::Dialer(
-      serving.Serve(serving.Make<zltp::ZltpEnclaveServer>(enclave)));
+  EnclaveServer enclave("wiki/Uganda", "landlocked");
+  const net::TransportFactory dial = enclave.Dial();
 
   FakeClock fake;
   auto dials = std::make_shared<std::atomic<int>>(0);

@@ -5,7 +5,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "net/tcp.h"
 #include "net/transport.h"
@@ -587,6 +591,92 @@ TEST_F(PirSessionTest, PublishAfterConnectIsVisible) {
   EXPECT_FALSE(session->PrivateGet("late").ok());
   ASSERT_TRUE(store_.Publish("late", ToBytes("arrived")).ok());
   EXPECT_EQ(ToString(session->PrivateGet("late").value()), "arrived");
+}
+
+// Logs "send<server>" / "recv<server>" each time the client calls into
+// its transport, so a test can assert the order of a session's I/O.
+class OrderRecordingTransport final : public net::Transport {
+ public:
+  OrderRecordingTransport(std::unique_ptr<net::Transport> inner,
+                          std::string server, std::vector<std::string>* log)
+      : inner_(std::move(inner)), server_(std::move(server)), log_(log) {}
+
+  using Transport::Receive;
+  using Transport::Send;
+
+  Status Send(const net::Frame& frame,
+              const net::Deadline& deadline) override {
+    log_->push_back("send" + server_);
+    return inner_->Send(frame, deadline);
+  }
+  Result<net::Frame> Receive(const net::Deadline& deadline) override {
+    log_->push_back("recv" + server_);
+    return inner_->Receive(deadline);
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::unique_ptr<net::Transport> inner_;
+  std::string server_;
+  std::vector<std::string>* log_;
+};
+
+TEST_F(PirSessionTest, SingleGetSendsToBothServersBeforeReceiving) {
+  ASSERT_TRUE(store_.Publish("k", ToBytes("v")).ok());
+  std::vector<std::string> log;
+  auto session = PirSession::Establish(EstablishOptions::FromTransports(
+      std::make_unique<OrderRecordingTransport>(
+          ReactorServing::Connect(port0_), "0", &log),
+      std::make_unique<OrderRecordingTransport>(
+          ReactorServing::Connect(port1_), "1", &log)));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  // One round trip: both shares are on the wire before either reply is
+  // awaited.
+  const std::vector<std::string> one_round_trip = {"send0", "send1", "recv0",
+                                                   "recv1"};
+  log.clear();
+  auto value = session->PrivateGet("k");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(ToString(*value), "v");
+  EXPECT_EQ(log, one_round_trip);
+  log.clear();
+  ASSERT_TRUE(session->DummyGet().ok());
+  EXPECT_EQ(log, one_round_trip);
+  session->Close();
+}
+
+TEST_F(PirSessionTest, ReplyUnderUnsentIdIsProtocolError) {
+  // A role-0 server that answers the hello honestly, then answers a GET
+  // under a request id the client never sent.
+  net::TransportPair pair = net::CreateInMemoryPair();
+  std::thread rogue([server = std::move(pair.b), this] {
+    const net::Deadline deadline =
+        net::Deadline::After(std::chrono::seconds(30));
+    if (!server->Receive(deadline).ok()) return;
+    ServerHello hello;
+    hello.server_role = 0;
+    hello.domain_bits = static_cast<std::uint8_t>(store_.domain_bits());
+    hello.record_size = static_cast<std::uint32_t>(store_.record_size());
+    hello.keyword_seed = store_.config().keyword_seed;
+    if (!server->Send(Encode(hello), deadline).ok()) return;
+    auto in = server->Receive(deadline);
+    if (!in.ok()) return;
+    auto request = DecodeGetRequest(*in);
+    if (!request.ok()) return;
+    GetResponse response;
+    response.request_id = request->request_id + 1000;
+    response.body = Bytes(store_.record_size(), 0);
+    (void)server->Send(Encode(response), deadline);
+  });
+  auto session = PirSession::Establish(EstablishOptions::FromTransports(
+      std::move(pair.a), ReactorServing::Connect(port1_)));
+  Status batch = session.status();
+  if (session.ok()) batch = session->PrivateGetBatch({"k"}).status();
+  rogue.join();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  // The whole op fails, not only the slot the reply was meant for.
+  EXPECT_EQ(batch.code(), StatusCode::kProtocolError) << batch.ToString();
 }
 
 TEST(PirSessionErrors, BothConnectionsSameRoleRejected) {
