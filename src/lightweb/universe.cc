@@ -19,7 +19,6 @@ zltp::PirStoreConfig StoreConfig(const UniverseConfig& u, bool code) {
   zltp::PirStoreConfig c;
   c.domain_bits = code ? u.code_domain_bits : u.data_domain_bits;
   c.record_size = code ? u.code_blob_size : u.data_blob_size;
-  c.shard_top_bits = code ? 0 : u.data_shard_top_bits;
   c.keyword_seed = crypto::Hkdf(
       u.master_seed, /*salt=*/{},
       code ? "lightweb/code-universe" : "lightweb/data-universe", 16);

@@ -35,7 +35,6 @@ struct UniverseConfig {
   // Data universe: paper §5.1 defaults (2^22 domain, 4 KiB blobs).
   int data_domain_bits = 22;
   std::size_t data_blob_size = 4096;
-  int data_shard_top_bits = 0;
 
   // Fixed number of data-blob fetches per page view (paper §3.2: "the
   // number of data blobs fetched per page view must be fixed").

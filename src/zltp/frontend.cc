@@ -6,7 +6,6 @@
 #include <map>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -19,11 +18,9 @@ namespace lw::zltp {
 // ---------------------------------------------------------- data shard
 
 ShardDataServer::ShardDataServer(const ShardTopology& topology,
-                                 std::size_t shard_index, int num_threads)
+                                 std::size_t shard_index)
     : topology_(topology),
       shard_index_(shard_index),
-      pool_(num_threads == 1 ? nullptr
-                             : std::make_unique<ThreadPool>(num_threads)),
       db_(topology.shard_domain_bits(), topology.record_size) {
   LW_CHECK_MSG(shard_index < topology.shard_count(), "shard index range");
 }
@@ -53,51 +50,28 @@ Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
   obs::AddExpandNs(expand_ns);
   Bytes out(topology_.record_size);
   std::lock_guard<std::mutex> lock(db_mu_);
-  db_.Answer(bits, out, pool_.get());
+  db_.Answer(bits, out);
   return out;
 }
 
 Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
                                        net::TcpListener listener) {
-  net::Reactor::Handler handler;
-  // Shard links are CDN-internal: bare GetRequest frames, no hello.
-  handler.on_frame = [this, &reactor](net::Reactor::ConnId id,
-                                      net::Frame frame) {
-    if (frame.type == static_cast<std::uint8_t>(MsgType::kBye)) {
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    auto request = DecodeGetRequest(frame);
-    if (!request.ok()) {
-      SendErrorFrameTo(reactor, id, StatusCode::kProtocolError,
-                       request.status().message());
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    auto key = dpf::SubtreeKey::Deserialize(request->body);
+  GetEndpoint endpoint;  // no hello: the shard link is CDN-internal
+  endpoint.requests = &obs::M().shard_requests;
+  endpoint.parse = [this](Bytes body) -> Result<AnswerFn> {
+    auto key = dpf::SubtreeKey::Deserialize(body);
     if (!key.ok()) {
-      SendErrorFrameTo(reactor, id, StatusCode::kProtocolError,
-                       "malformed sub-tree key: " + key.status().message());
-      reactor.CloseAfterFlush(id);
-      return;
+      return ProtocolError("malformed sub-tree key: " +
+                           key.status().message());
     }
     // The sub-tree expansion + XOR scan is the shard's heavy compute.
-    dispatch_.Post([this, &reactor, id, request_id = request->request_id,
-                     k = std::move(*key)] {
-      auto answer = Answer(k);
-      if (!answer.ok()) {
-        SendErrorFrameTo(reactor, id, answer.status().code(),
-                         answer.status().message());
-        return;
-      }
-      obs::M().shard_requests.Inc();
-      GetResponse response;
-      response.request_id = request_id;
-      response.body = std::move(*answer);
-      (void)reactor.Send(id, Encode(response));
+    return AnswerFn([this, k = std::move(*key)](AnswerDone done) mutable {
+      dispatch_.Post([this, k = std::move(k), done = std::move(done)] {
+        done(Answer(k), obs::StageTimings{});
+      });
     });
   };
-  return reactor.AddListener(std::move(listener), std::move(handler));
+  return ServeGets(reactor, std::move(listener), std::move(endpoint));
 }
 
 // ------------------------------------------------------------- fan-out
@@ -613,85 +587,30 @@ FrontEndServer::FrontEndServer(std::uint8_t role, Bytes keyword_seed,
 
 Status FrontEndServer::ServeOnReactor(net::Reactor& reactor,
                                       net::TcpListener listener) {
-  auto awaiting_hello =
-      std::make_shared<std::unordered_set<net::Reactor::ConnId>>();
-  net::Reactor::Handler handler;
-  handler.on_open = [awaiting_hello](net::Reactor::ConnId id) {
-    awaiting_hello->insert(id);
+  GetEndpoint endpoint;
+  endpoint.hello.emplace();
+  endpoint.hello->mode = Mode::kTwoServerPir;
+  endpoint.hello->server_role = role_;
+  endpoint.hello->domain_bits =
+      static_cast<std::uint8_t>(fanout_.topology().domain_bits);
+  endpoint.hello->record_size =
+      static_cast<std::uint32_t>(fanout_.topology().record_size);
+  endpoint.hello->keyword_seed = keyword_seed_;
+  endpoint.requests = &obs::M().frontend_requests;
+  endpoint.errors = &obs::M().frontend_request_errors;
+  endpoint.trace = true;
+  // The fan-out is non-blocking: the op pipelines onto the shard links and
+  // the loop moves on; the fan-out's completion callback sends the reply,
+  // out of order across GETs.
+  endpoint.parse = [this](Bytes body) -> Result<AnswerFn> {
+    LW_ASSIGN_OR_RETURN(dpf::DpfKey key, ParseDpfKey(body));
+    return AnswerFn([this, key = std::move(key)](AnswerDone done) {
+      fanout_.AnswerAsync(key, [done = std::move(done)](Result<Bytes> share) {
+        done(std::move(share), obs::StageTimings{});
+      });
+    });
   };
-  handler.on_close = [awaiting_hello](net::Reactor::ConnId id,
-                                      const Status&) {
-    awaiting_hello->erase(id);
-  };
-  handler.on_frame = [this, awaiting_hello, &reactor](net::Reactor::ConnId id,
-                                                      net::Frame frame) {
-    if (awaiting_hello->erase(id) > 0) {
-      if (!CheckHelloFrame(reactor, id, frame, Mode::kTwoServerPir).ok()) {
-        return;
-      }
-      ServerHello server_hello;
-      server_hello.mode = Mode::kTwoServerPir;
-      server_hello.server_role = role_;
-      server_hello.domain_bits =
-          static_cast<std::uint8_t>(fanout_.topology().domain_bits);
-      server_hello.record_size =
-          static_cast<std::uint32_t>(fanout_.topology().record_size);
-      server_hello.keyword_seed = keyword_seed_;
-      (void)reactor.Send(id, Encode(server_hello));
-      return;
-    }
-    if (frame.type == static_cast<std::uint8_t>(MsgType::kBye)) {
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    const auto req_start = obs::TraceNow();
-    const std::uint64_t start_unix_ms = obs::UnixMillis();
-    auto request = DecodeGetRequest(frame);
-    if (!request.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrameTo(reactor, id, StatusCode::kProtocolError,
-                       request.status().message());
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    auto key = dpf::DpfKey::Deserialize(request->body);
-    if (!key.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrameTo(reactor, id, StatusCode::kProtocolError,
-                       "malformed DPF key: " + key.status().message());
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    const std::uint64_t decode_ns = obs::ElapsedNs(req_start);
-    // The fan-out is non-blocking: the op pipelines onto the shard links
-    // and this handler returns to the loop. The completion callback (the
-    // loop thread or the fan-out's expiry sweeper) queues the reply with
-    // the thread-safe reactor.Send — out of order across GETs, matched to
-    // the right client by the captured id.
-    fanout_.AnswerAsync(
-        *key, [&reactor, id, request_id = request->request_id, req_start,
-               start_unix_ms, decode_ns](Result<Bytes> answer) {
-          if (!answer.ok()) {
-            obs::M().frontend_request_errors.Inc();
-            SendErrorFrameTo(reactor, id, answer.status().code(),
-                             answer.status().message());
-            return;
-          }
-          obs::RequestTrace trace;
-          trace.start_unix_ms = start_unix_ms;
-          trace.stages.decode_ns = decode_ns;
-          GetResponse response;
-          response.request_id = request_id;
-          response.body = std::move(*answer);
-          const auto reply_start = obs::TraceNow();
-          (void)reactor.Send(id, Encode(response));
-          trace.stages.reply_ns = obs::ElapsedNs(reply_start);
-          trace.total_ns = obs::ElapsedNs(req_start);
-          obs::M().frontend_requests.Inc();
-          obs::TraceRing::Default().Record(trace);
-        });
-  };
-  return reactor.AddListener(std::move(listener), std::move(handler));
+  return ServeGets(reactor, std::move(listener), std::move(endpoint));
 }
 
 }  // namespace lw::zltp

@@ -34,7 +34,6 @@
 #include "util/clock.h"
 #include "util/status.h"
 #include "util/task_queue.h"
-#include "util/thread_pool.h"
 #include "zltp/messages.h"
 
 namespace lw::zltp {
@@ -50,12 +49,9 @@ struct ShardTopology {
 
 class ShardDataServer {
  public:
-  // `num_threads` drives the shard's XOR scan through a private pool
-  // (0 = hardware_concurrency(), 1 = serial; the default stays serial
-  // because deployments typically pack one shard per small instance —
-  // paper §5.2).
-  ShardDataServer(const ShardTopology& topology, std::size_t shard_index,
-                  int num_threads = 1);
+  // The shard's XOR scan is serial: deployments pack one shard per small
+  // instance (paper §5.2).
+  ShardDataServer(const ShardTopology& topology, std::size_t shard_index);
 
   ShardDataServer(const ShardDataServer&) = delete;
   ShardDataServer& operator=(const ShardDataServer&) = delete;
@@ -77,7 +73,6 @@ class ShardDataServer {
  private:
   ShardTopology topology_;
   std::size_t shard_index_;
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   mutable std::mutex db_mu_;
   pir::BlobDatabase db_;
   TaskQueue dispatch_{1};  // last member: joins first

@@ -2,16 +2,14 @@
 //
 // Combines the keyword registry (key → DPF domain index, collision
 // detection), record packing (fingerprint + padding to the universe's fixed
-// blob size), and one or more blob-database shards. With shard_top_bits > 0
-// the store models the paper's §5.2 deployment: the front-end expands the
-// top of the client's DPF tree once and each shard evaluates only its
-// sub-tree over its slice of the data.
+// blob size), and one blob database over the whole domain. The paper's
+// §5.2 sharded deployment is not modelled here: it is the networked
+// FrontEndServer/ShardDataServer pair (zltp/frontend.h).
 //
 // Thread-safe: queries take a shared lock, publishes an exclusive one — a
 // CDN publishes new pages while serving private-GETs.
 #pragma once
 
-#include <memory>
 #include <shared_mutex>
 #include <string_view>
 #include <vector>
@@ -32,7 +30,6 @@ struct PirStoreConfig {
   int domain_bits = 22;          // paper §5.1 default
   std::size_t record_size = 4096;  // paper's 4 KiB data blobs
   Bytes keyword_seed;            // 16 bytes; random if empty
-  int shard_top_bits = 0;        // 2^shard_top_bits data shards
 };
 
 class PirStore {
@@ -43,7 +40,6 @@ class PirStore {
   const pir::KeywordMapper& mapper() const { return registry_.mapper(); }
   int domain_bits() const { return config_.domain_bits; }
   std::size_t record_size() const { return config_.record_size; }
-  std::size_t shard_count() const { return shards_.size(); }
 
   // Publishes (or re-publishes) a key's payload. COLLISION if a different
   // key occupies the same domain index; INVALID_ARGUMENT if the payload
@@ -62,10 +58,9 @@ class PirStore {
   Result<Bytes> AnswerQuery(const dpf::DpfKey& key,
                             ThreadPool* pool = nullptr) const;
 
-  // Answers a batch with one fused pass over each shard's data: every
-  // key's DPF is expanded first (full-domain, or per-shard sub-trees when
-  // sharded) without the store lock, then each shard's records are scanned
-  // once under the shared lock, XOR-combining shard answers per query.
+  // Answers a batch with one fused pass over the data: every key's DPF is
+  // expanded first without the store lock, then the records are scanned
+  // once under the shared lock.
   Result<std::vector<Bytes>> AnswerBatch(const std::vector<dpf::DpfKey>& keys,
                                          ThreadPool* pool = nullptr) const;
 
@@ -77,17 +72,10 @@ class PirStore {
   std::vector<std::string> Keys() const;
 
  private:
-  struct ShardRef {
-    std::size_t shard;
-    std::uint64_t local_index;
-  };
-  ShardRef Locate(std::uint64_t global_index) const;
-
   PirStoreConfig config_;
-  int shard_bits_;  // domain bits per shard
   mutable std::shared_mutex mu_;
   pir::KeywordRegistry registry_;
-  std::vector<std::unique_ptr<pir::BlobDatabase>> shards_;
+  pir::BlobDatabase db_;
 };
 
 }  // namespace lw::zltp

@@ -190,13 +190,11 @@ TEST(Concurrency, PipelinedBatchesFromParallelClients) {
 
 TEST(Concurrency, BatchSchedulerUnderParallelClientsIsRaceFree) {
   // Drives the batch worker with more clients than max_batch and a tiny
-  // co-rider window, so submissions race batch formation, over a sharded
-  // store and a ThreadPool that fans each batch's expansion and scan out,
-  // plus a stats() poller on the side. Exists to fail under TSan if the
-  // admission queue, the EWMA update, or the stats snapshot ever race.
-  zltp::PirStoreConfig config = StoreConfig();
-  config.shard_top_bits = 2;
-  zltp::PirStore store(config);
+  // co-rider window, so submissions race batch formation, over a
+  // ThreadPool that fans each batch's scan out, plus a stats() poller on
+  // the side. Exists to fail under TSan if the admission queue, the EWMA
+  // update, or the stats snapshot ever race.
+  zltp::PirStore store(StoreConfig());
   for (int i = 0; i < 40; ++i) {
     (void)store.Publish("p/" + std::to_string(i), ToBytes("v"));
   }

@@ -20,8 +20,11 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pir/keyword.h"
+#include "pir/packing.h"
 #include "reactor_serving.h"
 #include "zltp/client.h"
+#include "zltp/frontend.h"
 #include "zltp/server.h"
 #include "zltp/store.h"
 
@@ -393,6 +396,79 @@ TEST(EndToEnd, PirRoundTripPopulatesServingMetrics) {
 
   ASSERT_TRUE(store.Unpublish("obs.example/page").ok());
   EXPECT_EQ(m.store_records.Value(), records0);
+}
+
+// The same GET through a §5.2 deployment: two front-ends, each over its
+// own four shards. Front-ends and shards own their counters; none of the
+// PIR server's may move, or the bench's share count (server + front-end
+// requests) would count a front-end twice.
+TEST(EndToEnd, ShardedRoundTripPopulatesFrontEndMetrics) {
+  Metrics& m = M();
+  const auto request_ns_count = [&m] {
+    std::uint64_t n = 0;
+    for (std::uint64_t c : m.server_request_ns.counts()) n += c;
+    return n;
+  };
+  const std::uint64_t frontend0 = m.frontend_requests.Value();
+  const std::uint64_t shard0 = m.shard_requests.Value();
+  const std::uint64_t traces0 = TraceRing::Default().total_recorded();
+  const std::uint64_t connections0 = m.server_connections.Value();
+  const std::uint64_t requests0 = m.server_requests.Value();
+  const std::uint64_t request_ns0 = request_ns_count();
+
+  zltp::ShardTopology topology;
+  topology.domain_bits = 12;
+  topology.top_bits = 2;
+  topology.record_size = 128;
+  const Bytes seed(16, 0x5a);
+  const pir::KeywordMapper mapper(seed, topology.domain_bits);
+  const std::string key = "obs.example/sharded";
+  const std::uint64_t index = mapper.IndexOf(key);
+  const Bytes record = pir::PackRecord(mapper.Fingerprint(key),
+                                       ToBytes("fanned out"),
+                                       topology.record_size)
+                           .value();
+  {
+    using testutil::ReactorServing;
+    ReactorServing serving;
+    std::uint16_t ports[2] = {0, 0};
+    for (std::uint8_t role = 0; role < 2; ++role) {
+      std::vector<zltp::ShardFanout::ShardAddr> addrs;
+      for (std::size_t s = 0; s < topology.shard_count(); ++s) {
+        auto& shard = serving.Make<zltp::ShardDataServer>(topology, s);
+        if (s == (index & (topology.shard_count() - 1))) {
+          ASSERT_TRUE(shard.Load(index, record).ok());
+        }
+        addrs.push_back({"127.0.0.1", serving.Serve(shard)});
+      }
+      auto fanout = zltp::ShardFanout::ConnectOnReactor(
+          topology, serving.reactor(), std::move(addrs));
+      ASSERT_TRUE(fanout.ok()) << fanout.status().ToString();
+      ports[role] = serving.Serve(
+          serving.Make<zltp::FrontEndServer>(role, seed, std::move(*fanout)));
+    }
+    auto session =
+        zltp::PirSession::Establish(zltp::EstablishOptions::FromTransports(
+            ReactorServing::Connect(ports[0]),
+            ReactorServing::Connect(ports[1])));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto value = session->PrivateGet(key);
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    EXPECT_EQ(ToString(*value), "fanned out");
+    session->Close();
+    // Scope end stops the reactor and joins every shard's worker, so each
+    // post-send count has landed before the assertions below.
+  }
+
+  EXPECT_EQ(m.frontend_requests.Value(), frontend0 + 2)
+      << "one share per front-end";
+  EXPECT_EQ(m.shard_requests.Value(), shard0 + 2 * topology.shard_count())
+      << "each front-end asks every one of its shards";
+  EXPECT_EQ(TraceRing::Default().total_recorded(), traces0 + 2)
+      << "one trace per front-end GET, none per shard sub-query";
+  EXPECT_EQ(m.server_connections.Value(), connections0);
+  EXPECT_EQ(m.server_requests.Value(), requests0);
+  EXPECT_EQ(request_ns_count(), request_ns0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// ZLTP protocol tests: message codecs, the PirStore (single-node and
-// sharded), batching, and full client/server sessions served on the epoll
+// ZLTP protocol tests: message codecs, the PirStore and its §5.2 sharded
+// equivalent, batching, and full client/server sessions served on the epoll
 // reactor over loopback TCP, in both modes of operation.
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "util/rand.h"
 #include "zltp/batch.h"
 #include "zltp/client.h"
+#include "zltp/frontend.h"
 #include "zltp/messages.h"
 #include "zltp/server.h"
 #include "zltp/store.h"
@@ -32,13 +33,11 @@ namespace {
 using testutil::ReactorServing;
 
 PirStoreConfig SmallStoreConfig(int domain_bits = 12,
-                                std::size_t record_size = 128,
-                                int shard_top_bits = 0) {
+                                std::size_t record_size = 128) {
   PirStoreConfig c;
   c.domain_bits = domain_bits;
   c.record_size = record_size;
   c.keyword_seed = Bytes(16, 0x5a);
-  c.shard_top_bits = shard_top_bits;
   return c;
 }
 
@@ -235,28 +234,49 @@ TEST(PirStore, AnswerRejectsWrongDomain) {
   EXPECT_FALSE(store.AnswerQuery(q.key0).ok());
 }
 
+// Paper §5.2 on ShardDataServer: the XOR of every shard's sub-tree answer
+// equals the unsharded store's answer. Shard domains under 7 bits split
+// the key past the end of the DPF tree (leaf_stride_bits).
 class ShardedStoreTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardedStoreTest, ShardedAnswersMatchSingleNode) {
-  const int top_bits = GetParam();
-  PirStore single(SmallStoreConfig(10, 96, 0));
-  PirStore sharded(SmallStoreConfig(10, 96, top_bits));
+  ShardTopology topology;
+  topology.domain_bits = 10;
+  topology.top_bits = GetParam();
+  topology.record_size = 96;
+  PirStore single(SmallStoreConfig(10, 96));
+  std::vector<std::unique_ptr<ShardDataServer>> shards;
+  for (std::size_t s = 0; s < topology.shard_count(); ++s) {
+    shards.push_back(std::make_unique<ShardDataServer>(topology, s));
+  }
+  const pir::KeywordMapper& mapper = single.mapper();
   for (int i = 0; i < 50; ++i) {
     const std::string key = "site.com/page-" + std::to_string(i);
     const Bytes payload = ToBytes("content-" + std::to_string(i));
-    const Status s1 = single.Publish(key, payload);
-    const Status s2 = sharded.Publish(key, payload);
-    EXPECT_EQ(s1.ok(), s2.ok());  // same seed → same collisions
+    if (!single.Publish(key, payload).ok()) continue;  // a collision
+    const std::uint64_t index = mapper.IndexOf(key);
+    const Bytes record =
+        pir::PackRecord(mapper.Fingerprint(key), payload, topology.record_size)
+            .value();
+    ASSERT_TRUE(
+        shards[index & (topology.shard_count() - 1)]->Load(index, record).ok());
   }
-  EXPECT_EQ(sharded.shard_count(), std::size_t{1} << top_bits);
-  EXPECT_EQ(single.record_count(), sharded.record_count());
+  std::size_t sharded_records = 0;
+  for (const auto& shard : shards) sharded_records += shard->record_count();
+  EXPECT_EQ(single.record_count(), sharded_records);
 
   Rng rng(3);
   for (int t = 0; t < 20; ++t) {
     const std::uint64_t index = rng.UniformInt(1 << 10);
     const pir::QueryKeys q = pir::MakeIndexQuery(index, 10);
-    EXPECT_EQ(single.AnswerQuery(q.key0).value(),
-              sharded.AnswerQuery(q.key0).value())
+    const auto subkeys = dpf::SplitForShards(q.key0, topology.top_bits);
+    Bytes combined(topology.record_size, 0);
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      auto answer = shards[s]->Answer(subkeys[s]);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      XorInto(combined, *answer);
+    }
+    EXPECT_EQ(single.AnswerQuery(q.key0).value(), combined)
         << "index " << index;
   }
 }
@@ -265,24 +285,21 @@ INSTANTIATE_TEST_SUITE_P(Shards, ShardedStoreTest,
                          ::testing::Values(1, 2, 4, 6));
 
 TEST(PirStore, BatchMatchesIndividual) {
-  for (int top_bits : {0, 3}) {
-    PirStore store(SmallStoreConfig(10, 96, top_bits));
-    for (int i = 0; i < 30; ++i) {
-      (void)store.Publish("p" + std::to_string(i), ToBytes("v"));
-    }
-    std::vector<dpf::DpfKey> keys;
-    std::vector<Bytes> individual;
-    Rng rng(11);
-    for (int i = 0; i < 7; ++i) {
-      const pir::QueryKeys q =
-          pir::MakeIndexQuery(rng.UniformInt(1 << 10), 10);
-      keys.push_back(q.key0);
-      individual.push_back(store.AnswerQuery(q.key0).value());
-    }
-    auto batch = store.AnswerBatch(keys);
-    ASSERT_TRUE(batch.ok());
-    EXPECT_EQ(*batch, individual) << "top_bits=" << top_bits;
+  PirStore store(SmallStoreConfig(10, 96));
+  for (int i = 0; i < 30; ++i) {
+    (void)store.Publish("p" + std::to_string(i), ToBytes("v"));
   }
+  std::vector<dpf::DpfKey> keys;
+  std::vector<Bytes> individual;
+  Rng rng(11);
+  for (int i = 0; i < 7; ++i) {
+    const pir::QueryKeys q = pir::MakeIndexQuery(rng.UniformInt(1 << 10), 10);
+    keys.push_back(q.key0);
+    individual.push_back(store.AnswerQuery(q.key0).value());
+  }
+  auto batch = store.AnswerBatch(keys);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(*batch, individual);
 }
 
 TEST(PirStore, KeysEnumeratesPublished) {
@@ -747,6 +764,219 @@ TEST(EnclaveSessionTest, EndToEnd) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
   session->Close();
 }
+
+// ----------------------------------------- wire conformance, every endpoint
+
+// The server side of ZLTP, driven with raw frames against each of the four
+// endpoints: a malformed hello, GetRequest or key is a PROTOCOL_ERROR and
+// then a close, a failed answer is an error frame on a connection that
+// stays open, and Bye closes cleanly. The shard link has no hello.
+enum class Endpoint { kPir, kEnclave, kFrontEnd, kShard };
+
+class WireConformance : public ::testing::TestWithParam<Endpoint> {
+ protected:
+  static ShardTopology Topology() {
+    ShardTopology t;
+    t.domain_bits = 12;
+    t.top_bits = 2;
+    t.record_size = 128;
+    return t;
+  }
+
+  static oram::EnclaveConfig EnclaveConfig() {
+    oram::EnclaveConfig config;
+    config.capacity = 64;
+    config.value_size = 128;
+    return config;
+  }
+
+  void SetUp() override {
+    std::uint16_t port = 0;
+    switch (GetParam()) {
+      case Endpoint::kPir:
+        port = serving_.Serve(serving_.Make<ZltpPirServer>(store_, 0));
+        break;
+      case Endpoint::kEnclave:
+        port = serving_.Serve(serving_.Make<ZltpEnclaveServer>(enclave_));
+        break;
+      case Endpoint::kFrontEnd: {
+        std::vector<ShardFanout::ShardAddr> addrs;
+        for (std::size_t s = 0; s < Topology().shard_count(); ++s) {
+          addrs.push_back({"127.0.0.1", serving_.Serve(serving_.Make<
+                                            ShardDataServer>(Topology(), s))});
+        }
+        auto fanout = ShardFanout::ConnectOnReactor(
+            Topology(), serving_.reactor(), std::move(addrs));
+        ASSERT_TRUE(fanout.ok()) << fanout.status().ToString();
+        port = serving_.Serve(serving_.Make<FrontEndServer>(
+            0, store_.config().keyword_seed, std::move(*fanout)));
+        break;
+      }
+      case Endpoint::kShard:
+        port = serving_.Serve(serving_.Make<ShardDataServer>(Topology(), 0));
+        break;
+    }
+    client_ = ReactorServing::Connect(port);
+    ASSERT_NE(client_, nullptr);
+  }
+
+  bool has_hello() const { return GetParam() != Endpoint::kShard; }
+
+  void Send(const net::Frame& frame) {
+    const Status sent = client_->Send(frame, Deadline());
+    ASSERT_TRUE(sent.ok()) << sent.ToString();
+  }
+
+  Result<net::Frame> Receive() { return client_->Receive(Deadline()); }
+
+  // A valid hello in this endpoint's mode; no-op on the shard link.
+  void Hello() {
+    if (!has_hello()) return;
+    ClientHello hello;
+    hello.supported_modes = {GetParam() == Endpoint::kEnclave
+                                 ? Mode::kEnclave
+                                 : Mode::kTwoServerPir};
+    Send(Encode(hello));
+    auto reply = Receive();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(DecodeServerHello(*reply).ok());
+  }
+
+  void ExpectError(StatusCode code) {
+    auto reply = Receive();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto error = DecodeError(*reply);
+    ASSERT_TRUE(error.ok()) << "frame type " << int{reply->type};
+    EXPECT_EQ(error->code, code) << error->message;
+  }
+
+  // The server hung up with nothing more to send.
+  void ExpectEof() {
+    auto reply = Receive();
+    ASSERT_FALSE(reply.ok()) << "frame type " << int{reply->type};
+    EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
+        << reply.status().ToString();
+  }
+
+  static net::Frame Get(Bytes body) {
+    GetRequest request;
+    request.request_id = 7;
+    request.body = std::move(body);
+    return Encode(request);
+  }
+
+  // A body the endpoint parses but cannot answer: a key of the wrong
+  // domain or depth, or a sealed request too short to open.
+  Bytes UnanswerableBody() const {
+    switch (GetParam()) {
+      case Endpoint::kEnclave:
+        return Bytes(8, 0x01);
+      case Endpoint::kShard:  // depth 11; the shard expects 10
+        return dpf::SplitForShards(dpf::Generate(1, 12).key0, 1)[0]
+            .Serialize();
+      default:
+        return dpf::Generate(1, 10).key0.Serialize();
+    }
+  }
+
+ private:
+  static net::Deadline Deadline() {
+    return net::Deadline::After(std::chrono::seconds(10));
+  }
+
+  // Declared before serving_: the servers reference them.
+  PirStore store_{SmallStoreConfig()};
+  oram::MemoryStorage storage_{
+      oram::KvEnclave::RequiredStorageBuckets(EnclaveConfig())};
+  oram::KvEnclave enclave_{EnclaveConfig(), storage_};
+  ReactorServing serving_;
+  std::unique_ptr<net::Transport> client_;
+};
+
+TEST_P(WireConformance, BadVersionIsProtocolErrorThenClose) {
+  ClientHello hello;
+  hello.version = kProtocolVersion + 1;
+  hello.supported_modes = {Mode::kTwoServerPir, Mode::kEnclave};
+  // On the shard link a hello is not a GetRequest: malformed all the same.
+  Send(Encode(hello));
+  ExpectError(StatusCode::kProtocolError);
+  ExpectEof();
+}
+
+TEST_P(WireConformance, GetBeforeHelloIsProtocolErrorThenClose) {
+  if (!has_hello()) {
+    // The hello-less shard link answers its first GET.
+    Send(Get(dpf::SplitForShards(dpf::Generate(3, 12).key0, 2)[0]
+                 .Serialize()));
+    auto reply = Receive();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto response = DecodeGetResponse(*reply);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->request_id, 7u);
+    EXPECT_EQ(response->body.size(), Topology().record_size);
+    return;
+  }
+  Send(Get(UnanswerableBody()));
+  ExpectError(StatusCode::kProtocolError);
+  ExpectEof();
+}
+
+TEST_P(WireConformance, TruncatedGetRequestIsProtocolErrorThenClose) {
+  Hello();
+  net::Frame truncated;
+  truncated.type = static_cast<std::uint8_t>(MsgType::kGetRequest);
+  truncated.payload = {0x00, 0x07};
+  Send(truncated);
+  ExpectError(StatusCode::kProtocolError);
+  ExpectEof();
+}
+
+TEST_P(WireConformance, UndecodableKeyIsProtocolErrorThenClose) {
+  Hello();
+  Send(Get(Bytes{0xde, 0xad, 0xbe}));
+  ExpectError(StatusCode::kProtocolError);
+  if (GetParam() == Endpoint::kEnclave) {
+    // The enclave relays its sealed body unparsed, so there is no key to
+    // reject: the enclave's own refusal is a failed answer (below).
+    Send(EncodeBye());
+  }
+  ExpectEof();
+}
+
+TEST_P(WireConformance, FailedAnswerIsErrorFrameOnOpenConnection) {
+  Hello();
+  // Two error frames: the first failure did not close the connection.
+  Send(Get(UnanswerableBody()));
+  Send(Get(UnanswerableBody()));
+  ExpectError(StatusCode::kProtocolError);
+  ExpectError(StatusCode::kProtocolError);
+  Send(EncodeBye());
+  ExpectEof();
+}
+
+TEST_P(WireConformance, ByeClosesCleanly) {
+  Hello();
+  Send(EncodeBye());
+  ExpectEof();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Endpoints, WireConformance,
+    ::testing::Values(Endpoint::kPir, Endpoint::kEnclave, Endpoint::kFrontEnd,
+                      Endpoint::kShard),
+    [](const ::testing::TestParamInfo<Endpoint>& info) {
+      switch (info.param) {
+        case Endpoint::kPir:
+          return "Pir";
+        case Endpoint::kEnclave:
+          return "Enclave";
+        case Endpoint::kFrontEnd:
+          return "FrontEnd";
+        case Endpoint::kShard:
+          return "Shard";
+      }
+      return "Unknown";
+    });
 
 // ------------------------------------------------- pipelined batch GETs
 
